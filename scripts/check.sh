@@ -57,6 +57,17 @@
 #                                    under TSan
 #   scripts/check.sh --tidy          clang-tidy over src/ (skipped with a
 #                                    message when clang-tidy is missing)
+#   scripts/check.sh --perf          wall-clock benchmark count gate (not
+#                                    part of the default pass): a traced
+#                                    3 s perfbench run (seed 1) of each
+#                                    workload must exit 0 with "correct":
+#                                    true, and on healthy_mix the per-op
+#                                    counts, which repeat bit for bit per
+#                                    seed, must be exactly 0 repository
+#                                    lookups and 0.4 validations.  The
+#                                    per-layer timings are printed, never
+#                                    gated.  perfbench builds into
+#                                    $CARGO_TARGET_DIR or .bench_build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,6 +85,7 @@ case "${1:-}" in
   --threads) MODE="threads" ;;
   --lint) MODE="lint" ;;
   --tidy) MODE="tidy" ;;
+  --perf) MODE="perf" ;;
   "") ;;
   *) BUILD_DIR="$1" ;;
 esac
@@ -252,6 +264,35 @@ shard_smoke() {
   echo "shard gate: saturation smoke + json ok"
 }
 
+# Perf gate: perfbench's own output checks plus the exact per-op counts
+# of healthy_mix; wall-clock timings are reported only.
+perf_gate() {
+  local workload line
+  for workload in healthy_mix threaded_mix partition_cycle; do
+    line="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 3 --trace 1 2> /dev/null | tail -n 1)" \
+      || { echo "check.sh: perfbench $workload failed" >&2; exit 1; }
+    PERF_RESULT="$line" python3 - "$workload" <<'PY' || exit 1
+import json, os, sys
+
+workload = sys.argv[1]
+result = json.loads(os.environ["PERF_RESULT"])
+metrics = {name: m["value"] for name, m in result["metrics"].items()}
+if result.get("correct") is not True:
+    sys.exit(f"check.sh: perfbench {workload} failed its output checks")
+exact = {"healthy_mix": {"constraints.lookups_per_op": 0,
+                         "constraints.validations_per_op": 0.4}}
+for name, want in exact.get(workload, {}).items():
+    if metrics[name] != want:
+        sys.exit(f"check.sh: {workload} {name} = {metrics[name]}, "
+                 f"expected exactly {want}")
+timings = ", ".join(f"{name} {value:.0f}" for name, value in
+                    metrics.items() if name.endswith("_ns"))
+print(f"perf gate: {workload} ok (ns, not gated: {timings})")
+PY
+  done
+}
+
 # Memo smoke: bench_memo_validation asserts its own acceptance criteria
 # (memo-on outcomes identical to memo-off, cache hits recorded, strictly
 # less simulated time) and exits nonzero on any failure.
@@ -324,6 +365,12 @@ if [ "$MODE" = "lint" ]; then
   cmake --build "$BUILD_DIR" -j "$JOBS" --target dedisys_lint
   lint_gate "$BUILD_DIR"
   echo "check.sh --lint: all green"
+  exit 0
+fi
+
+if [ "$MODE" = "perf" ]; then
+  perf_gate
+  echo "check.sh --perf: all green"
   exit 0
 fi
 

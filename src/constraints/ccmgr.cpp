@@ -89,46 +89,56 @@ const ConstraintRegistration* ConstraintConsistencyManager::find_registration(
 // Hierarchy-aware constraint lookup (Section 2.3.1)
 // ---------------------------------------------------------------------------
 
-std::vector<ConstraintRepository::Match>
-ConstraintConsistencyManager::collect_matches(ConstraintRepository& repository,
-                                              const Invocation& inv,
-                                              ConstraintType type) {
-  std::vector<ConstraintRepository::Match> out;
-  rt_.charge(rt_.cost().constraint_lookup);
-  if (!ancestry_) {
-    const auto& direct = repository.lookup(inv.target_class, inv.method, type);
-    out.assign(direct.begin(), direct.end());
-    return out;
+std::shared_ptr<const ConstraintConsistencyManager::CallPlan>
+ConstraintConsistencyManager::plan_for(ConstraintRepository& repository,
+                                       const Invocation& inv) {
+  if (inv.descriptor == nullptr || !repository.caching()) {
+    return build_plan(repository, inv);
   }
-  for (const std::string& cls : ancestry_(inv.target_class)) {
-    const auto& matches = repository.lookup(cls, inv.method, type);
-    out.insert(out.end(), matches.begin(), matches.end());
+  std::shared_ptr<const CallPlan>& plan =
+      plans_[PlanKey{&repository, inv.descriptor}];
+  if (plan == nullptr ||
+      plan->repository_generation != repository.generation() ||
+      plan->class_generation != class_generation()) {
+    plan = build_plan(repository, inv);
   }
-  return out;
+  return plan;
 }
 
-std::vector<std::vector<ConstraintRepository::Match>>
-ConstraintConsistencyManager::precondition_groups(
-    ConstraintRepository& repository, const Invocation& inv) {
-  std::vector<std::vector<ConstraintRepository::Match>> groups;
-  rt_.charge(rt_.cost().constraint_lookup);
+std::shared_ptr<const ConstraintConsistencyManager::CallPlan>
+ConstraintConsistencyManager::build_plan(ConstraintRepository& repository,
+                                         const Invocation& inv) const {
+  auto plan = std::make_shared<CallPlan>();
+  plan->repository_generation = repository.generation();
+  plan->class_generation = class_generation();
   const std::vector<std::string> classes =
-      ancestry_ ? ancestry_(inv.target_class)
-                : std::vector<std::string>{inv.target_class};
+      classes_ ? classes_->ancestry(inv.target_class)
+               : std::vector<std::string>{inv.target_class};
   for (const std::string& cls : classes) {
-    const auto& matches =
-        repository.lookup(cls, inv.method, ConstraintType::Precondition);
-    if (!matches.empty()) {
-      groups.emplace_back(matches.begin(), matches.end());
+    for (std::size_t t = 0; t < plan->matches.size(); ++t) {
+      const auto type = static_cast<ConstraintType>(t);
+      const Matches& found = repository.lookup(cls, inv.method, type);
+      plan->matches[t].insert(plan->matches[t].end(), found.begin(),
+                              found.end());
+      if (type == ConstraintType::Precondition && !found.empty()) {
+        plan->precondition_groups.push_back(found);
+      }
     }
   }
-  return groups;
+  return plan;
+}
+
+const ConstraintConsistencyManager::Matches&
+ConstraintConsistencyManager::planned(const CallPlan& plan,
+                                      ConstraintType type) {
+  rt_.charge(rt_.cost().constraint_lookup);
+  return plan.matches[static_cast<std::size_t>(type)];
 }
 
 void ConstraintConsistencyManager::check_preconditions(
-    ConstraintRepository& repository, const Invocation& inv,
-    ObjectAccessor& objects) {
-  const auto groups = precondition_groups(repository, inv);
+    const CallPlan& plan, const Invocation& inv, ObjectAccessor& objects) {
+  rt_.charge(rt_.cost().constraint_lookup);
+  const std::vector<Matches>& groups = plan.precondition_groups;
   if (groups.empty()) return;
   if (groups.size() == 1) {
     // No inherited preconditions: plain conjunction with full threat
@@ -185,9 +195,10 @@ void ConstraintConsistencyManager::check_preconditions(
 void ConstraintConsistencyManager::before_invocation(const Invocation& inv,
                                                      ObjectAccessor& objects) {
   if (in_validation_) return;  // re-entrancy guard (Section 5.3)
-  ConstraintRepository& repository = repository_for(inv);
+  const std::shared_ptr<const CallPlan> plan =
+      plan_for(repository_for(inv), inv);
 
-  check_preconditions(repository, inv, objects);
+  check_preconditions(*plan, inv, objects);
 
   // Give postconditions and invariants the chance to snapshot @pre state
   // (Fig. 4.3 defines beforeMethodInvocation on Constraint generally; the
@@ -196,7 +207,7 @@ void ConstraintConsistencyManager::before_invocation(const Invocation& inv,
   for (ConstraintType type :
        {ConstraintType::Postcondition, ConstraintType::HardInvariant,
         ConstraintType::SoftInvariant}) {
-    for (const auto& match : collect_matches(repository, inv, type)) {
+    for (const auto& match : planned(*plan, type)) {
       const ObjectId ctx_obj =
           prepare_context_object(inv, *match.preparation, objects);
       ConstraintValidationContext ctx = make_context(inv, ctx_obj, objects);
@@ -209,33 +220,30 @@ void ConstraintConsistencyManager::before_invocation(const Invocation& inv,
 void ConstraintConsistencyManager::after_invocation(const Invocation& inv,
                                                     ObjectAccessor& objects) {
   if (in_validation_) return;
-  ConstraintRepository& repository = repository_for(inv);
+  const std::shared_ptr<const CallPlan> plan =
+      plan_for(repository_for(inv), inv);
 
-  for (const auto& match :
-       collect_matches(repository, inv, ConstraintType::Postcondition)) {
+  for (const auto& match : planned(*plan, ConstraintType::Postcondition)) {
     const ObjectId ctx_obj =
         prepare_context_object(inv, *match.preparation, objects);
     check(*match.constraint, inv, ctx_obj, objects);
   }
 
-  for (const auto& match :
-       collect_matches(repository, inv, ConstraintType::HardInvariant)) {
+  for (const auto& match : planned(*plan, ConstraintType::HardInvariant)) {
     const ObjectId ctx_obj =
         prepare_context_object(inv, *match.preparation, objects);
     if (should_skip(match, inv, ctx_obj)) continue;
     check(*match.constraint, inv, ctx_obj, objects);
   }
 
-  for (const auto& match :
-       collect_matches(repository, inv, ConstraintType::SoftInvariant)) {
+  for (const auto& match : planned(*plan, ConstraintType::SoftInvariant)) {
     const ObjectId ctx_obj =
         prepare_context_object(inv, *match.preparation, objects);
     if (should_skip(match, inv, ctx_obj)) continue;
     record_pending(inv.tx, *match.constraint, ctx_obj, inv.target);
   }
 
-  for (const auto& match :
-       collect_matches(repository, inv, ConstraintType::AsyncInvariant)) {
+  for (const auto& match : planned(*plan, ConstraintType::AsyncInvariant)) {
     const ObjectId ctx_obj =
         prepare_context_object(inv, *match.preparation, objects);
     if (degraded_) {

@@ -13,6 +13,11 @@
 //   async invariants   -> soft in healthy mode; in degraded mode recorded
 //                         as threats without validation (Section 5.5.3).
 //
+// Each hook resolves its constraints through one call plan per (repository,
+// method descriptor): the matches of every constraint type flattened over
+// the class ancestry, built once from the repository and the class
+// registry and rebuilt only when either one's generation moves.
+//
 // In degraded mode the CCMgr gathers the objects each validation accessed,
 // asks the replication service whether any were possibly stale, derives the
 // satisfaction degree, negotiates arising consistency threats (dynamic
@@ -21,6 +26,7 @@
 // threats and drives the application's constraint reconciliation handler.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -29,6 +35,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "constraints/negotiation.h"
@@ -59,6 +66,11 @@ struct CcmgrWiring {
   std::function<void(const ConsistencyThreat&)> threat_replicator;
   /// Application-wide fallback minimum satisfaction degree.
   SatisfactionDegree default_min = SatisfactionDegree::Satisfied;
+  /// Class hierarchy (behavioral subtyping, Section 2.3.1): constraints of
+  /// superclasses/interfaces also apply, preconditions OR'd across levels,
+  /// postconditions/invariants AND'd [DL96].  Null: only the target
+  /// class's own constraints apply.
+  const ClassRegistry* classes = nullptr;
   /// Observability hub; validations and the threat lifecycle are then
   /// recorded as trace events.
   obs::Observability* obs = nullptr;
@@ -113,19 +125,12 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     objects_ = wiring.objects;
     replicate_threat_ = std::move(wiring.threat_replicator);
     default_min_ = wiring.default_min;
+    classes_ = wiring.classes;
     obs_ = wiring.obs;
     object_query_ = std::move(wiring.object_query);
     memo_enabled_ = wiring.memo;
     scheduling_ = wiring.scheduler;
-  }
-
-  /// Class-hierarchy resolver (behavioral subtyping, Section 2.3.1):
-  /// constraints of superclasses/interfaces also apply, preconditions
-  /// OR'd across levels, postconditions/invariants AND'd [DL96].
-  using AncestryQuery =
-      std::function<std::vector<std::string>(const std::string&)>;
-  void set_class_ancestry(AncestryQuery query) {
-    ancestry_ = std::move(query);
+    plans_.clear();  // built against the previous class registry
   }
 
   /// When a threat is negotiated (Section 5.4): immediately when it
@@ -303,23 +308,54 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     bool& flag_;
   };
 
+  using Matches = std::vector<ConstraintRepository::Match>;
+
+  /// One method's constraint metadata, resolved once.  Immutable: a hook
+  /// holds its plan for its whole run, even if a nested call rebuilds it.
+  struct CallPlan {
+    std::uint64_t repository_generation = 0;
+    std::uint64_t class_generation = 0;
+    /// Per ConstraintType: matches for the invocation's class and all its
+    /// ancestors, flattened (postconditions/invariants: conjunction).
+    std::array<Matches,
+               static_cast<std::size_t>(ConstraintType::AsyncInvariant) + 1>
+        matches;
+    /// Non-empty precondition groups per hierarchy level (disjunction
+    /// across levels).
+    std::vector<Matches> precondition_groups;
+  };
+  using PlanKey =
+      std::pair<const ConstraintRepository*, const MethodDescriptor*>;
+  struct PlanKeyHash {
+    std::size_t operator()(const PlanKey& k) const {
+      return std::hash<const void*>{}(k.first) * 31 +
+             std::hash<const void*>{}(k.second);
+    }
+  };
+
   /// Repository for the application the invocation belongs to.
   ConstraintRepository& repository_for(const Invocation& inv);
 
-  /// Matches of `type` for the invocation's class and all its ancestors,
-  /// flattened (postconditions/invariants: conjunction semantics).
-  std::vector<ConstraintRepository::Match> collect_matches(
-      ConstraintRepository& repository, const Invocation& inv,
-      ConstraintType type);
+  /// The invocation's call plan, from the cache while the repository's and
+  /// the class registry's generations hold still.  Built afresh — every
+  /// hook runs the repository's search — when caching is off (the paper's
+  /// naive mode) or the invocation carries no descriptor.
+  std::shared_ptr<const CallPlan> plan_for(ConstraintRepository& repository,
+                                           const Invocation& inv);
+  std::shared_ptr<const CallPlan> build_plan(ConstraintRepository& repository,
+                                             const Invocation& inv) const;
+  [[nodiscard]] std::uint64_t class_generation() const {
+    return classes_ != nullptr ? classes_->generation() : 0;
+  }
 
-  /// Precondition groups per hierarchy level (disjunction across levels).
-  std::vector<std::vector<ConstraintRepository::Match>> precondition_groups(
-      ConstraintRepository& repository, const Invocation& inv);
+  /// The plan's matches of `type`, charging the simulated cost of the
+  /// repository query it stands for.
+  const Matches& planned(const CallPlan& plan, ConstraintType type);
 
   /// OR semantics across levels: the call proceeds when any level's
   /// conjunction holds.
-  void check_preconditions(ConstraintRepository& repository,
-                           const Invocation& inv, ObjectAccessor& objects);
+  void check_preconditions(const CallPlan& plan, const Invocation& inv,
+                           ObjectAccessor& objects);
 
   /// Finds a constraint registration across all applications.
   const ConstraintRegistration* find_registration(const std::string& name);
@@ -395,7 +431,7 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   std::function<void(const ConsistencyThreat&)> replicate_threat_;
   SatisfactionDegree default_min_ = SatisfactionDegree::Satisfied;
   ConstraintValidationContext::ObjectQuery object_query_;
-  AncestryQuery ancestry_;
+  const ClassRegistry* classes_ = nullptr;
   NegotiationTiming negotiation_timing_ = NegotiationTiming::Immediate;
 
   bool degraded_ = false;
@@ -409,6 +445,8 @@ class ConstraintConsistencyManager final : public TransactionalResource {
 
   std::unordered_map<TxId, TxState> tx_state_;
   std::map<std::string, ConstraintRepository*> app_repositories_;
+  std::unordered_map<PlanKey, std::shared_ptr<const CallPlan>, PlanKeyHash>
+      plans_;
   Stats stats_;
 
   static const AlwaysFreshOracle kFreshOracle;

@@ -9,9 +9,13 @@
 // Two search modes reproduce the Chapter-2 study: a naive scan that walks
 // every registration per query, and an optimized mode that caches query
 // results in a hash table keyed by class+method+type (Section 2.2.1).
+// Every change that could stale a query result moves generation(), so
+// results derived from lookup() (the CCMgr's call plans) know when to
+// rebuild.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -151,6 +155,12 @@ class ConstraintRepository {
     caching_ = on;
     invalidate_cache();
   }
+  [[nodiscard]] bool caching() const { return caching_; }
+
+  /// Moves whenever cached query results are dropped: on every
+  /// registration change, enable/disable, analysis attach and caching
+  /// switch.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// All enabled constraints of `type` affected by `method` on
   /// `class_name`, each with its context-preparation rule.
@@ -201,7 +211,10 @@ class ConstraintRepository {
     return out;
   }
 
-  void invalidate_cache() { cache_.clear(); }
+  void invalidate_cache() {
+    cache_.clear();
+    ++generation_;
+  }
 
   std::vector<ConstraintRegistration> registrations_;
   std::shared_ptr<const analysis::ConfigAnalysis> config_;
@@ -209,6 +222,7 @@ class ConstraintRepository {
   bool caching_ = true;
   std::unordered_map<std::string, std::vector<Match>> cache_;
   std::vector<Match> scratch_;
+  std::uint64_t generation_ = 0;
   std::size_t searches_ = 0;
   std::size_t cache_hits_ = 0;
   std::size_t cache_misses_ = 0;

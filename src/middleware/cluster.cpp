@@ -130,18 +130,6 @@ std::size_t Cluster::inject(const fault::Restart& op) {
   return 0;
 }
 
-void Cluster::split(const std::vector<std::vector<std::size_t>>& groups) {
-  std::vector<std::vector<NodeId>> node_groups;
-  node_groups.reserve(groups.size());
-  for (const auto& g : groups) {
-    std::vector<NodeId> ids;
-    ids.reserve(g.size());
-    for (std::size_t idx : g) ids.push_back(node(idx).id());
-    node_groups.push_back(std::move(ids));
-  }
-  split_ids(std::move(node_groups));
-}
-
 void Cluster::split_ids(std::vector<std::vector<NodeId>> node_groups) {
   last_partition_groups_ = node_groups;
   if (obs_.enabled()) {
@@ -168,19 +156,11 @@ void Cluster::do_heal() {
   network_->apply(fault::Heal{});
 }
 
-void Cluster::heal() { do_heal(); }
-
 void Cluster::do_crash(DedisysNode& n) {
   // The pause-crash wipes the node's volatile state (in-memory replicas);
   // the durable record store survives for restart recovery.
   n.replication().drop_volatile();
   network_->apply(fault::Crash{n.id()});
-}
-
-void Cluster::crash_node(std::size_t index) { do_crash(node(index)); }
-
-std::size_t Cluster::restart_node(std::size_t index) {
-  return do_restart(node(index));
 }
 
 std::size_t Cluster::do_restart(DedisysNode& n) {

@@ -69,10 +69,9 @@ struct ClusterConfig {
 };
 
 /// Narrow view of the deterministic-simulation substrate, for fault
-/// injection and chaos/script drivers.  Replaces the deprecated
-/// Cluster::clock()/network()/events() accessors so the public cluster
-/// surface no longer leaks backend internals; meaningless on the threaded
-/// backend (see docs/fault_injection.md).
+/// injection and chaos/script drivers, so the public cluster surface does
+/// not leak backend internals; meaningless on the threaded backend (see
+/// docs/fault_injection.md).
 struct SimHandles {
   SimClock& clock;
   SimNetwork& network;
@@ -98,12 +97,6 @@ class Cluster {
   /// (meaningless on the threaded backend; the FaultEngine and the chaos
   /// and scripted scenarios are sim-pinned, see docs/fault_injection.md).
   SimHandles sim() { return SimHandles{clock_, *network_, *events_}; }
-
-  [[deprecated("use sim().clock")]] SimClock& clock() { return clock_; }
-  [[deprecated("use sim().network")]] SimNetwork& network() {
-    return *network_;
-  }
-  [[deprecated("use sim().events")]] EventQueue& events() { return *events_; }
 
   /// Cluster-wide distributed transaction manager.
   TransactionManager& tx() { return *tm_; }
@@ -175,20 +168,9 @@ class Cluster {
   /// reconciliation and traced).
   void split_ids(std::vector<std::vector<NodeId>> node_groups);
 
-  [[deprecated("use inject(fault::split_indices({...}))")]] void split(
-      const std::vector<std::vector<std::size_t>>& groups);
-
-  [[deprecated("use inject(fault::Heal{})")]] void heal();
-
-  [[deprecated("use inject(fault::Crash{node(i).id()})")]] void crash_node(
-      std::size_t index);
-
-  [[deprecated("use inject(fault::Restart{node(i).id()})")]] std::size_t
-  restart_node(std::size_t index);
-
-  /// Wires a fault engine to this cluster: its crash/restart actions
-  /// route through crash_node/restart_node (index resolved from NodeId)
-  /// and its trace events land in this cluster's observability hub.
+  /// Wires a fault engine to this cluster: its crash, restart, partition
+  /// and heal actions take the same middleware path as inject(), and its
+  /// trace events land in this cluster's observability hub.
   void adopt_fault_engine(FaultEngine& engine);
 
   // -- reconciliation (Section 4.4) -------------------------------------------------
@@ -210,8 +192,8 @@ class Cluster {
       std::size_t coordinator = 0);
 
  private:
-  /// Typed-op implementations shared by inject(), the deprecated wrappers
-  /// and the fault-engine handlers.
+  /// Typed-op implementations shared by inject() and the fault-engine
+  /// handlers.
   void do_heal();
   void do_crash(DedisysNode& n);
   std::size_t do_restart(DedisysNode& n);

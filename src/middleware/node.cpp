@@ -128,6 +128,7 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   wiring.oracle = repl_.get();
   wiring.objects = accessor_.get();
   wiring.default_min = options.default_min_degree;
+  wiring.classes = &cluster.classes();
   wiring.obs = obs_;
   wiring.memo = options.flags.validation_memo;
   wiring.scheduler = options.flags.validation_scheduler;
@@ -141,9 +142,6 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   ccmgr_ = std::make_unique<ConstraintConsistencyManager>(
       cluster.constraints(), cluster.threats(), *tm_, rt, id,
       std::move(wiring));
-  ccmgr_->set_class_ancestry([cl](const std::string& class_name) {
-    return cl->classes().ancestry(class_name);
-  });
 
   if (options.with_ccm) {
     server_chain_.add(std::make_shared<CCMInterceptor>(*ccmgr_, *accessor_));
@@ -273,6 +271,7 @@ Value DedisysNode::invoke(TxId tx, ObjectId target,
   inv.target = target;
   inv.target_class = entry.class_name;
   inv.method = md.signature;
+  inv.descriptor = &md;
   inv.args = std::move(args);
   inv.tx = tx;
   inv.client_node = id_;
@@ -285,7 +284,8 @@ Value DedisysNode::invoke(TxId tx, ObjectId target,
   Runtime& rt = cluster_->runtime();
   Runtime::Section section(rt);
   const SimTime invoke_start = rt.now();
-  const std::string span = entry.class_name + "::" + method_name;
+  std::string span;
+  if (obs::on(obs_)) span = entry.class_name + "::" + method_name;
   // The invocation's causal root span: every event emitted while the call
   // is on the stack — validations, 2PC, GCS legs, backup applies — joins
   // this trace (a top-level call opens a fresh trace; a call made from a
@@ -367,6 +367,7 @@ Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
   inv.target = target;
   inv.target_class = entry.class_name;
   inv.method = md.signature;
+  inv.descriptor = &md;
   inv.args = std::move(args);
   inv.tx = tx;
   inv.client_node = id_;
@@ -379,8 +380,9 @@ Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
 
   Runtime& rt = cluster_->runtime();
   Runtime::Section section(rt);
-  obs::SpanGuard span_guard(obs_, rt, entry.class_name + "::" + method.name,
-                            id_, target, tx);
+  obs::SpanGuard span_guard(
+      obs_, rt, obs::on(obs_) ? entry.class_name + "::" + method.name : "",
+      id_, target, tx);
 
   const NodeId exec = repl_->execution_node(target, inv.is_write);
   inv.server_node = exec;
@@ -407,9 +409,7 @@ Value DedisysNode::execute_server(Invocation& inv) {
 }
 
 Value DedisysNode::terminal_dispatch(Invocation& inv) {
-  const ObjectDirectory::Entry& entry = cluster_->directory()->get(inv.target);
-  const MethodDescriptor& md =
-      cluster_->classes().get(entry.class_name).method(inv.method);
+  const MethodDescriptor& md = *inv.descriptor;
   Entity& entity = repl_->local_replica(inv.target);
 
   if (inv.is_write && inv.tx.valid()) tm_->lock(inv.tx, inv.target);

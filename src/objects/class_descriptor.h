@@ -8,8 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -81,11 +83,15 @@ class ClassDescriptor {
 
   /// Declares the superclass; its constraints also apply to this class
   /// (preconditions OR'd, postconditions/invariants AND'd [DL96]).
-  void set_super(const std::string& super) { super_ = super; }
+  void set_super(const std::string& super) {
+    super_ = super;
+    bump_generation();
+  }
   [[nodiscard]] const std::string& super() const { return super_; }
 
   void add_interface(const std::string& iface) {
     interfaces_.push_back(iface);
+    bump_generation();
   }
   [[nodiscard]] const std::vector<std::string>& interfaces() const {
     return interfaces_;
@@ -140,11 +146,19 @@ class ClassDescriptor {
   }
 
  private:
+  friend class ClassRegistry;
+
+  void bump_generation() {
+    if (generation_) ++*generation_;
+  }
+
   std::string name_;
   std::string super_;
   std::vector<std::string> interfaces_;
   AttributeMap defaults_;
   std::map<std::string, MethodDescriptor> methods_;
+  /// The owning registry's generation counter (null when standalone).
+  std::shared_ptr<std::uint64_t> generation_;
 };
 
 /// Registry of class descriptors deployed on a cluster.
@@ -153,8 +167,16 @@ class ClassRegistry {
   ClassDescriptor& define(const std::string& name) {
     auto [it, inserted] = classes_.emplace(name, ClassDescriptor(name));
     if (!inserted) throw ConfigError("duplicate class " + name);
+    it->second.generation_ = generation_;
+    ++*generation_;
     return it->second;
   }
+
+  /// Moves whenever an ancestry() result may have changed: on define(),
+  /// ClassDescriptor::set_super() and add_interface().  Results derived
+  /// from the class graph stay valid while it holds still.  (A copied
+  /// registry shares the counter; that can only cause spurious moves.)
+  [[nodiscard]] std::uint64_t generation() const { return *generation_; }
 
   [[nodiscard]] const ClassDescriptor& get(const std::string& name) const {
     auto it = classes_.find(name);
@@ -190,6 +212,8 @@ class ClassRegistry {
 
  private:
   std::map<std::string, ClassDescriptor> classes_;
+  std::shared_ptr<std::uint64_t> generation_ =
+      std::make_shared<std::uint64_t>(0);
 };
 
 }  // namespace dedisys

@@ -23,6 +23,10 @@ struct Invocation {
   ObjectId target;
   std::string target_class;
   MethodSignature method;
+  /// `method`'s descriptor on `target_class`, resolved once by the kernel
+  /// (dispatch and the CCMgr's call plans key on it).  Null on hand-built
+  /// invocations; the CCMgr then resolves their constraints afresh.
+  const MethodDescriptor* descriptor = nullptr;
   std::vector<Value> args;
   TxId tx;
   NodeId client_node;

@@ -15,6 +15,7 @@
 // contain spaces or newlines).
 #pragma once
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -31,16 +32,33 @@ inline void write_token(std::ostream& out, const std::string& token) {
   out << token.size() << ' ' << token;
 }
 
+/// Reads a length-prefixed token.  The prefix is untrusted: the token
+/// grows in bounded chunks only as far as the input really reaches, so a
+/// false length ends in "truncated token", never in a huge allocation.
 inline std::string read_token(std::istream& in) {
   std::size_t len = 0;
   if (!(in >> len)) throw ConfigError("snapshot: expected token length");
   if (in.get() != ' ') throw ConfigError("snapshot: expected separator");
-  std::string token(len, '\0');
-  in.read(token.data(), static_cast<std::streamsize>(len));
-  if (in.gcount() != static_cast<std::streamsize>(len)) {
-    throw ConfigError("snapshot: truncated token");
+  constexpr std::size_t kChunk = 4096;
+  std::string token;
+  while (token.size() < len) {
+    const std::size_t want = std::min(kChunk, len - token.size());
+    const std::size_t have = token.size();
+    token.resize(have + want);
+    in.read(token.data() + have, static_cast<std::streamsize>(want));
+    if (in.gcount() != static_cast<std::streamsize>(want)) {
+      throw ConfigError("snapshot: truncated token");
+    }
   }
   return token;
+}
+
+/// Extracts one payload of `type`, failing loudly when it does not parse.
+template <typename T>
+T read_payload(std::istream& in, const std::string& type) {
+  T value{};
+  if (!(in >> value)) throw ConfigError("snapshot: bad " + type + " payload");
+  return value;
 }
 
 inline void write_value(std::ostream& out, const Value& v) {
@@ -66,29 +84,15 @@ inline Value read_value(std::istream& in) {
   std::string type;
   if (!(in >> type)) throw ConfigError("snapshot: expected value type");
   if (type == "null") return Value{};
-  if (type == "bool") {
-    int b = 0;
-    in >> b;
-    return Value{b != 0};
-  }
-  if (type == "int") {
-    std::int64_t i = 0;
-    in >> i;
-    return Value{i};
-  }
-  if (type == "double") {
-    double d = 0;
-    in >> d;
-    return Value{d};
-  }
+  if (type == "bool") return Value{read_payload<int>(in, type) != 0};
+  if (type == "int") return Value{read_payload<std::int64_t>(in, type)};
+  if (type == "double") return Value{read_payload<double>(in, type)};
   if (type == "string") {
     if (in.get() != ' ') throw ConfigError("snapshot: expected separator");
     return Value{read_token(in)};
   }
   if (type == "object") {
-    std::uint64_t raw = 0;
-    in >> raw;
-    return Value{ObjectId{raw}};
+    return Value{ObjectId{read_payload<std::uint64_t>(in, type)}};
   }
   throw ConfigError("snapshot: unknown value type " + type);
 }

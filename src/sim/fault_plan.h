@@ -154,8 +154,8 @@ using Op =
 
 /// Convenience for tests and benches: builds a Partition op from dense
 /// node indices (a Cluster constructs node i as NodeId{i}), so
-/// `cluster.inject(fault::split_indices({{0, 1}, {2}}))` reads like the
-/// deprecated index-based `Cluster::split`.
+/// `cluster.inject(fault::split_indices({{0, 1}, {2}}))` names nodes by
+/// index.
 [[nodiscard]] inline Partition split_indices(
     const std::vector<std::vector<std::size_t>>& groups) {
   Partition p;

@@ -198,7 +198,7 @@ class SimNetwork {
   }
 
   /// Brings a crashed node back; it rejoins its partition group.  State
-  /// recovery is the caller's concern (Cluster::restart_node wires it).
+  /// recovery is the caller's concern (Cluster::inject wires it).
   Topology apply(const fault::Restart& op) {
     Topology previous = topology();
     alive_.insert(op.node);

@@ -13,6 +13,10 @@ struct MechanismCase {
   Mechanism* (*make)();
 };
 
+// Print the case by name: the default byte dump shows the two pointers,
+// which vary from run to run, in the listed and discovered test names.
+void PrintTo(const MechanismCase& c, std::ostream* os) { *os << c.name; }
+
 Mechanism* make_aspect() { return new AspectStaticMechanism; }
 Mechanism* make_aop() { return new AopFrameworkMechanism; }
 Mechanism* make_proxy() { return new ReflectiveProxyMechanism; }

@@ -89,6 +89,11 @@ TEST_F(SnapshotTest, CorruptInputFailsLoudly) {
       "table 5 abc",            // truncated token
       "table 3 abc\njunk",      // unknown item
       "table 3 abc\nrecord 1 k notanumber",
+      "table 99999999999999 abc",  // length prefix beyond the input
+      "table 3 abc\nrecord 1 k 1\nfield 1 f int x",
+      "table 3 abc\nrecord 1 k 1\nfield 1 f bool",
+      "table 3 abc\nrecord 1 k 1\nfield 1 f double zz",
+      "table 3 abc\nrecord 1 k 1\nfield 1 f object -",
   };
   for (const char* text : bad) {
     std::stringstream buffer{text};
