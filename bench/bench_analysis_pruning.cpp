@@ -1,5 +1,4 @@
-// Read-set pruning benchmark (PR 3), extended with the interference-aware
-// reconciliation scheduler (PR 8).
+// Read-set pruning benchmark.
 //
 // A "Wide" entity class carries several independent integer attributes,
 // each guarded by its own OCL hard invariant that is registered as
@@ -10,10 +9,8 @@
 // one invariant that actually reads the written attribute.
 //
 // After the setter workload, a reconciliation batch of seeded threats is
-// driven through each cluster; the `scheduled` column counts threats
-// re-evaluated under interference-cluster ordering (zero unless the
-// scheduler is on).  Scheduling is outcome-preserving — the column shows
-// activity, the other columns must not move because of it.
+// driven through each cluster: every stored threat is re-evaluated, with
+// or without pruning, so the batch adds the same validations to both rows.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -32,7 +29,7 @@ constexpr int kFields = 8;
 constexpr std::size_t kEntities = 16;
 constexpr std::size_t kOps = 4000;
 
-std::unique_ptr<Cluster> make_wide_cluster(bool pruning, bool scheduler) {
+std::unique_ptr<Cluster> make_wide_cluster(bool pruning) {
   ClusterConfig cfg;
   cfg.nodes = 3;
   auto cluster = std::make_unique<Cluster>(cfg);
@@ -64,7 +61,6 @@ std::unique_ptr<Cluster> make_wide_cluster(bool pruning, bool scheduler) {
 
   for (std::size_t n = 0; n < cfg.nodes; ++n) {
     cluster->node(n).ccmgr().set_pruning(pruning);
-    cluster->node(n).ccmgr().set_scheduling(scheduler);
   }
   return cluster;
 }
@@ -108,11 +104,10 @@ struct Row {
   double rate = 0;
   std::size_t validations = 0;
   std::size_t skipped = 0;
-  std::size_t scheduled = 0;
 };
 
-Row run_configuration(bool pruning, bool scheduler) {
-  auto cluster = make_wide_cluster(pruning, scheduler);
+Row run_configuration(bool pruning) {
+  auto cluster = make_wide_cluster(pruning);
   std::vector<ObjectId> ids;
   Row row;
   row.rate = run_setter_workload(*cluster, ids);
@@ -120,7 +115,6 @@ Row run_configuration(bool pruning, bool scheduler) {
   const auto& stats = cluster->node(0).ccmgr().stats();
   row.validations = stats.validations;
   row.skipped = stats.evaluations_skipped;
-  row.scheduled = stats.reconcile_scheduled;
   return row;
 }
 
@@ -131,33 +125,25 @@ int main(int argc, char** argv) {
   using namespace dedisys;
   bench::Session session(argc, argv);
 
-  const Row off = run_configuration(false, false);
-  const Row on = run_configuration(true, false);
-  const Row sched = run_configuration(true, true);
+  const Row off = run_configuration(false);
+  const Row on = run_configuration(true);
 
   bench::print_title(
-      "Read-set pruning + reconciliation scheduling: " +
-      std::to_string(kFields) + " invariants registered on every setter of"
-      " a " + std::to_string(kFields) + "-attribute entity");
+      "Read-set pruning: " + std::to_string(kFields) +
+      " invariants registered on every setter of a " +
+      std::to_string(kFields) + "-attribute entity");
   bench::print_header({"configuration", "setter ops/s(sim)", "validations",
-                       "evals skipped", "scheduled"});
+                       "evals skipped"});
   bench::print_row("pruning off (exhaustive)",
                    {off.rate, static_cast<double>(off.validations),
-                    static_cast<double>(off.skipped),
-                    static_cast<double>(off.scheduled)});
+                    static_cast<double>(off.skipped)});
   bench::print_row("pruning on (read-set)",
                    {on.rate, static_cast<double>(on.validations),
-                    static_cast<double>(on.skipped),
-                    static_cast<double>(on.scheduled)});
-  bench::print_row("pruning + scheduler",
-                   {sched.rate, static_cast<double>(sched.validations),
-                    static_cast<double>(sched.skipped),
-                    static_cast<double>(sched.scheduled)});
+                    static_cast<double>(on.skipped)});
   if (off.rate > 0) {
     std::printf("\nthroughput ratio on/off: %.2fx, evaluations avoided: %zu"
-                " of %zu, scheduled threats: %zu\n",
-                on.rate / off.rate, on.skipped, off.validations,
-                sched.scheduled);
+                " of %zu\n",
+                on.rate / off.rate, on.skipped, off.validations);
   }
   return 0;
 }

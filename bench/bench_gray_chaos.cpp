@@ -3,8 +3,8 @@
 // Runs the randomized invariant suite of scenarios/invariants.h: N seeded
 // random gray fault plans (one-way cuts, flapping links, slow nodes,
 // clock skew), each checked for the dependability invariants plus
-// determinism and memo equivalence; violating plans are shrunk to a
-// minimal reproduction and printed in the corpus text format.
+// determinism; violating plans are shrunk to a minimal reproduction and
+// printed in the corpus text format.
 //
 // Usage:
 //   bench_gray_chaos [--plans N] [--seed N] [--nodes N] [--ops N]

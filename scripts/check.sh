@@ -11,8 +11,8 @@
 #
 # Modes:
 #   scripts/check.sh [build-dir]     default tier-1 pass (build dir: build);
-#                                    includes the chaos smoke and the
-#                                    --asan tier
+#                                    includes the chaos smoke, the golden
+#                                    pins and the --asan tier
 #   scripts/check.sh --asan          rebuild in build-asan with
 #                                    DEDISYS_SANITIZE=address;undefined and
 #                                    run the test suite under ASan+UBSan
@@ -20,10 +20,16 @@
 #                                    plans, each run twice; invariants must
 #                                    hold and the trace timelines must be
 #                                    byte-identical per seed
-#   scripts/check.sh --memo          validation-memo smoke only: run the
-#                                    self-asserting bench_memo_validation
-#                                    (memo-on outcomes must equal memo-off,
-#                                    with cache hits and lower cost)
+#   scripts/check.sh --pins [--update]
+#                                    golden-pin gate only: recompute the
+#                                    SHA-256 of every pinned sim output
+#                                    (stdout and --json of the sim-time
+#                                    benches, the chaos, sharded and gray
+#                                    timelines, the dedisys_trace export)
+#                                    and compare with tests/pins.sha256;
+#                                    the committed sim-time BENCH_*.json
+#                                    must equal a fresh run byte for byte.
+#                                    --update rewrites tests/pins.sha256
 #   scripts/check.sh --gray          gray-failure gate only: shrinker
 #                                    self-test, 20 random gray plans
 #                                    through the invariant harness, a
@@ -75,10 +81,13 @@ JOBS="${JOBS:-2}"
 
 MODE="default"
 BUILD_DIR="build"
+PIN_UPDATE=""
 case "${1:-}" in
   --asan) MODE="asan" ;;
   --chaos) MODE="chaos" ;;
-  --memo) MODE="memo" ;;
+  --pins)
+    MODE="pins"
+    [ "${2:-}" = "--update" ] && PIN_UPDATE="update" ;;
   --gray) MODE="gray" ;;
   --shard) MODE="shard" ;;
   --trace) MODE="trace" ;;
@@ -115,7 +124,7 @@ chaos_smoke() {
 
 # Gray-failure gate: the shrinker must minimize a synthetic plan and the
 # known legacy-views split-brain plan (<= 3 ops), 20 random gray plans
-# must hold every invariant (plus determinism and memo equivalence), two
+# must hold every invariant (plus determinism), two
 # runs of one gray seed must emit byte-identical timelines, and the
 # committed regression corpus must replay clean.
 gray_smoke() {
@@ -293,12 +302,84 @@ PY
   done
 }
 
-# Memo smoke: bench_memo_validation asserts its own acceptance criteria
-# (memo-on outcomes identical to memo-off, cache hits recorded, strictly
-# less simulated time) and exits nonzero on any failure.
-memo_smoke() {
-  "$1/bench/bench_memo_validation" > /dev/null
-  echo "memo smoke: memo-on/off equivalence and speedup ok"
+# Golden pins.  Every output below is a pure function of the source and
+# the toolchain: the sim-time benches (stdout and --json), the chaos soak
+# timelines with chaos_smoke's options, the sharded soak with
+# shard_smoke's options, two gray timelines and the dedisys_trace export.
+PIN_FILE="tests/pins.sha256"
+PIN_BENCHES=(bench_fig5_1_ccm_overhead bench_fig5_2_healthy_degraded
+  bench_fig5_3_fewer_nodes bench_fig5_4_replication_scaling
+  bench_fig5_6_reconciliation bench_fig5_8_reduced_history
+  bench_sec5_5_2_partition_sensitive bench_sec5_5_3_async_constraints
+  bench_sim_availability bench_partition_duration bench_ablation_protocols
+  bench_conclusion_tradeoffs bench_analysis_pruning bench_shard_saturation)
+# Committed sim-time records: BENCH_<name>.json must equal the fresh
+# bench_<name>.json byte for byte.
+PIN_RECORDS=(analysis_pruning shard_saturation chaos_soak)
+
+# Writes every pinned output into directory $2 (binaries from build $1).
+pin_outputs() {
+  local b out bench seed
+  b="$(cd "$1" && pwd)"
+  out="$2"
+  (
+    cd "$out"
+    for bench in "${PIN_BENCHES[@]}"; do
+      "$b/bench/$bench" --json "$bench.json" > "$bench.stdout"
+    done
+    for seed in 1 2 3; do
+      "$b/bench/bench_chaos_soak" --seed "$seed" --ops 40 --events 8 \
+        --horizon-ms 250 --timeline > "chaos_soak_seed$seed.timeline" \
+        2> /dev/null
+    done
+    for seed in 1 2; do
+      "$b/bench/bench_chaos_soak" --seed "$seed" --nodes 4 --shards 2 \
+        --ops 40 --events 8 --horizon-ms 250 --timeline \
+        > "chaos_soak_shards2_seed$seed.timeline" 2> /dev/null
+    done
+    for seed in 1 5; do
+      "$b/bench/bench_gray_chaos" --seed "$seed" --timeline \
+        > "gray_chaos_seed$seed.timeline" 2> /dev/null
+    done
+    "$b/tools/dedisys_trace" --export dedisys_trace_seed7.json --seed 7 \
+      > /dev/null
+    "$b/bench/bench_chaos_soak" --seed 1 --ops 40 --events 8 \
+      --horizon-ms 250 --json bench_chaos_soak.json > /dev/null 2>&1
+  )
+}
+
+# Compares fresh digests with $PIN_FILE (or rewrites it with --update)
+# and each committed record with its fresh run.
+pins_gate() {
+  local update="$2" out digests record rc=0
+  out="$(mktemp -d /tmp/pins_XXXXXX)"
+  pin_outputs "$1" "$out"
+  digests="$(cd "$out" && sha256sum -- *)"
+  if [ "$update" = "update" ]; then
+    {
+      echo "# Golden pins: SHA-256 of every seed-pinned sim output, written by"
+      echo "# scripts/check.sh --pins --update and checked by check.sh --pins."
+      echo "# The digests hold for one toolchain only: g++ 12 (Debian 12.2)."
+      echo "# A change that moves a digest names the output and says why."
+      echo "$digests"
+    } > "$PIN_FILE"
+    echo "pins: rewrote $PIN_FILE ($(echo "$digests" | wc -l) outputs)"
+  elif ! diff <(grep -v '^#' "$PIN_FILE") <(echo "$digests") > /dev/null; then
+    echo "check.sh: golden pins differ from $PIN_FILE:" >&2
+    diff <(grep -v '^#' "$PIN_FILE") <(echo "$digests") >&2 || true
+    rc=1
+  else
+    echo "pins: $(echo "$digests" | wc -l) outputs match $PIN_FILE"
+  fi
+  for record in "${PIN_RECORDS[@]}"; do
+    if ! cmp -s "BENCH_$record.json" "$out/bench_$record.json"; then
+      echo "check.sh: BENCH_$record.json differs from a fresh run" >&2
+      rc=1
+    fi
+  done
+  [ "$rc" -eq 0 ] && echo "pins: committed sim-time BENCH_*.json reproduce"
+  rm -rf "$out"
+  [ "$rc" -eq 0 ] || exit 1
 }
 
 if [ "$MODE" = "asan" ]; then
@@ -318,11 +399,12 @@ if [ "$MODE" = "chaos" ]; then
   exit 0
 fi
 
-if [ "$MODE" = "memo" ]; then
+if [ "$MODE" = "pins" ]; then
   cmake -B "$BUILD_DIR" -S . > /dev/null
-  cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_memo_validation
-  memo_smoke "$BUILD_DIR"
-  echo "check.sh --memo: all green"
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target "${PIN_BENCHES[@]}" \
+    bench_chaos_soak bench_gray_chaos dedisys_trace
+  pins_gate "$BUILD_DIR" "$PIN_UPDATE"
+  echo "check.sh --pins: all green"
   exit 0
 fi
 
@@ -401,12 +483,11 @@ trap 'rm -f "$OUT"' EXIT
 "$BUILD_DIR/bench/bench_fig5_2_healthy_degraded" --json "$OUT" > /dev/null
 "$BUILD_DIR/bench/json_validate" --require-latencies "$OUT"
 
-# Fault-tolerance gates: chaos smoke, the validation-memo smoke and the
-# gray-failure gate on this build, then the sanitizer tiers (their own
-# build dirs: TSan over the threaded-runtime suite, ASan+UBSan over the
-# full test suite).
+# Fault-tolerance gates: chaos smoke, the golden pins and the gray-failure
+# gate on this build, then the sanitizer tiers (their own build dirs: TSan
+# over the threaded-runtime suite, ASan+UBSan over the full test suite).
 chaos_smoke "$BUILD_DIR"
-memo_smoke "$BUILD_DIR"
+pins_gate "$BUILD_DIR" ""
 gray_smoke "$BUILD_DIR"
 trace_smoke "$BUILD_DIR"
 shard_smoke "$BUILD_DIR"

@@ -167,7 +167,7 @@ void ConstraintConsistencyManager::check_preconditions(
         continue;  // reference still null: constraint does not apply
       }
       ConstraintValidationContext ctx = make_context(inv, ctx_obj, objects);
-      const SatisfactionDegree d = evaluate_cached(*match.constraint, ctx);
+      const SatisfactionDegree d = evaluate(*match.constraint, ctx);
       if (static_cast<int>(d) < static_cast<int>(level)) {
         level = d;  // conjunction within one hierarchy level
         level_constraint = match.constraint;
@@ -356,76 +356,6 @@ ConstraintValidationContext ConstraintConsistencyManager::make_context(
   return ctx;
 }
 
-bool ConstraintConsistencyManager::memo_fingerprint(
-    const Constraint& constraint, ConstraintValidationContext& ctx,
-    std::uint64_t* out) {
-  if (!memo_enabled_) return false;
-  // LCC/NCC bypass: in degraded mode (or with forced-stale objects) the
-  // satisfaction degree additionally depends on per-object staleness and
-  // partition state that the fingerprint cannot see.
-  if (degraded_ || !forced_stale_.empty()) return false;
-  // Query-based contexts enumerate objects at validation time; there is
-  // no bounded read-set to stamp.
-  if (!ctx.context_object().valid()) return false;
-  const ConstraintRegistration* reg = find_registration(constraint.name());
-  if (reg == nullptr || reg->analysis == nullptr) return false;
-  const analysis::AnalysisReport& report = *reg->analysis;
-  // Opaque bodies (FunctionConstraint & friends) and error-carrying
-  // reports have an unknown/untrusted read-set; argument reads make the
-  // outcome depend on per-invocation values the key does not cover.
-  if (report.opaque || report.has_errors()) return false;
-  if (!report.read_set.arguments.empty()) return false;
-  // The analyzed read-set of a non-opaque constraint is confined to
-  // attributes of the context entity (the OCL grammar only reads
-  // `self.<attr>` and `arg<N>`), so one (id, write stamp) pair pins the
-  // entire state the outcome depends on.  Reference-derived contexts are
-  // covered too: a write to the reference attribute changes which entity
-  // becomes the context object, and with it the cache key.
-  validation::FingerprintBuilder fp;
-  try {
-    const Entity& entity = ctx.read(ctx.context_object());
-    fp.mix(entity.id(), entity.write_stamp());
-  } catch (const ObjectUnreachable&) {
-    return false;  // NCC: let evaluate() derive Uncheckable
-  }
-  *out = fp.value();
-  return true;
-}
-
-SatisfactionDegree ConstraintConsistencyManager::evaluate_cached(
-    Constraint& constraint, ConstraintValidationContext& ctx, bool* hit) {
-  if (hit != nullptr) *hit = false;
-  std::uint64_t fingerprint = 0;
-  if (!memo_fingerprint(constraint, ctx, &fingerprint)) {
-    return evaluate(constraint, ctx);
-  }
-  const validation::ValidationMemo::Lookup looked =
-      memo_.lookup(constraint.name(), ctx.context_object(), fingerprint);
-  if (looked.outcome == validation::ValidationMemo::Outcome::Hit) {
-    if (hit != nullptr) *hit = true;
-    if (obs::on(obs_)) {
-      obs_->event(rt_.now(), obs::TraceEventKind::ValidationMemoHit, self_,
-                  ctx.context_object(), ctx.tx(), constraint.name(),
-                  to_string(looked.degree));
-    }
-    return looked.degree;
-  }
-  if (looked.outcome == validation::ValidationMemo::Outcome::MissStale &&
-      obs::on(obs_)) {
-    obs_->event(rt_.now(), obs::TraceEventKind::ValidationMemoInvalidate,
-                self_, ctx.context_object(), ctx.tx(), constraint.name(),
-                "read-set write stamp changed");
-  }
-  const SatisfactionDegree degree = evaluate(constraint, ctx);
-  // Threat degrees (LCC/NCC) are partition-dependent; only definite
-  // outcomes are a pure function of the fingerprinted state.
-  if (degree == SatisfactionDegree::Satisfied ||
-      degree == SatisfactionDegree::Violated) {
-    memo_.store(constraint.name(), ctx.context_object(), fingerprint, degree);
-  }
-  return degree;
-}
-
 SatisfactionDegree ConstraintConsistencyManager::evaluate(
     Constraint& constraint, ConstraintValidationContext& ctx) {
   ++stats_.validations;
@@ -474,7 +404,7 @@ void ConstraintConsistencyManager::check(Constraint& constraint,
   // the reference that would provide it is still null.
   if (constraint.context_object_needed() && !context_object.valid()) return;
   ConstraintValidationContext ctx = make_context(inv, context_object, objects);
-  const SatisfactionDegree degree = evaluate_cached(constraint, ctx);
+  const SatisfactionDegree degree = evaluate(constraint, ctx);
   handle_outcome(constraint, degree, ctx, inv.tx);
 }
 
@@ -759,38 +689,9 @@ ConstraintConsistencyManager::reconcile(ConstraintReconciliationHandler* handler
     }
   };
 
-  // Batched revalidation: threats arrive grouped by constraint (load_all
-  // returns identities sorted as "<constraint>@<object>", so the grouping
-  // is inherent) and each distinct (constraint, fingerprint) pair is
-  // evaluated at most once — the validation memo caches the first
-  // evaluation's definite outcome and fans it out to every later threat
-  // with the same key, within this pass and across repeated reconciliation
-  // rounds over postponed threats.  With the memo off, every threat is
-  // re-evaluated exactly as before, in the same order.
-  //
-  // Interference-aware scheduling (PR 8, opt-in): with a ConfigAnalysis
-  // attached, the batch is reordered by interference-graph cluster so
-  // constraints sharing read-set attributes evaluate adjacently.  The
-  // sort is stable over the legacy identity order, so the set of
-  // evaluations and every per-threat outcome is unchanged — only
-  // adjacency moves.
-  std::vector<StoredThreat> batch = threats_.load_all();
-  const analysis::ConfigAnalysis* schedule =
-      scheduling_ ? repository_.config_analysis() : nullptr;
-  if (schedule != nullptr) {
-    auto cluster_key = [&](const StoredThreat& st) -> const std::string& {
-      auto it = schedule->cluster_of.find(st.threat.constraint_name);
-      return it == schedule->cluster_of.end() ? st.threat.constraint_name
-                                              : it->second;
-    };
-    std::stable_sort(batch.begin(), batch.end(),
-                     [&](const StoredThreat& a, const StoredThreat& b) {
-                       return cluster_key(a) < cluster_key(b);
-                     });
-    out.scheduled = batch.size();
-    stats_.reconcile_scheduled += batch.size();
-  }
-  for (StoredThreat& st : batch) {
+  // Every stored threat is re-evaluated, in identity order
+  // ("<constraint>@<object>", as load_all returns them).
+  for (StoredThreat& st : threats_.load_all()) {
     ConsistencyThreat& threat = st.threat;
     ++out.reevaluated;
 
@@ -820,9 +721,7 @@ ConstraintConsistencyManager::reconcile(ConstraintReconciliationHandler* handler
     Invocation pseudo;
     ConstraintValidationContext ctx =
         make_context(pseudo, threat.context_object, *objects_);
-    bool batched = false;
-    SatisfactionDegree degree = evaluate_cached(constraint, ctx, &batched);
-    if (batched) ++out.batched;
+    const SatisfactionDegree degree = evaluate(constraint, ctx);
 
     if (degree == SatisfactionDegree::Satisfied) {
       threats_.remove(threat.identity());
@@ -855,7 +754,7 @@ ConstraintConsistencyManager::reconcile(ConstraintReconciliationHandler* handler
         try_rollback(threat)) {
       ConstraintValidationContext recheck =
           make_context(pseudo, threat.context_object, *objects_);
-      if (evaluate_cached(constraint, recheck) ==
+      if (evaluate(constraint, recheck) ==
           SatisfactionDegree::Satisfied) {
         threats_.remove(threat.identity());
         ++out.resolved_by_rollback;
@@ -878,7 +777,7 @@ ConstraintConsistencyManager::reconcile(ConstraintReconciliationHandler* handler
       if (!claims_solved) break;  // deferred reconciliation
       ConstraintValidationContext recheck =
           make_context(pseudo, threat.context_object, *objects_);
-      if (evaluate_cached(constraint, recheck) ==
+      if (evaluate(constraint, recheck) ==
           SatisfactionDegree::Satisfied) {
         resolved = true;
         break;
@@ -909,7 +808,7 @@ std::vector<ObjectId> ConstraintConsistencyManager::revalidate_for_objects(
   for (ObjectId id : context_objects) {
     Invocation pseudo;
     ConstraintValidationContext ctx = make_context(pseudo, id, *objects_);
-    if (evaluate_cached(constraint, ctx) == SatisfactionDegree::Violated) {
+    if (evaluate(constraint, ctx) == SatisfactionDegree::Violated) {
       violating.push_back(id);
     }
   }

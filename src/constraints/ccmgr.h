@@ -48,7 +48,6 @@
 #include "tx/tx_manager.h"
 #include "util/ids.h"
 #include "util/sim_clock.h"
-#include "validation/memo.h"
 
 namespace dedisys {
 
@@ -77,15 +76,6 @@ struct CcmgrWiring {
   /// Query used by constraints without a context object ("validation
   /// starts from a set of objects obtained by a query", Section 3.2.2).
   ConstraintValidationContext::ObjectQuery object_query;
-  /// Version-stamped validation memoization (docs/validation_memo.md).
-  /// Off by default: memo-off runs are byte-identical to an un-memoized
-  /// build.
-  bool memo = false;
-  /// Interference-aware evaluation scheduling (PR 8): reconciliation
-  /// batches are ordered by interference-graph cluster so constraints
-  /// sharing read-sets evaluate adjacently.  Off by default — the legacy
-  /// `<constraint>@<object>` identity order is then used unchanged.
-  bool scheduler = false;
 };
 
 /// Application callback invoked for violated constraints detected during
@@ -128,8 +118,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     classes_ = wiring.classes;
     obs_ = wiring.obs;
     object_query_ = std::move(wiring.object_query);
-    memo_enabled_ = wiring.memo;
-    scheduling_ = wiring.scheduler;
     plans_.clear();  // built against the previous class registry
   }
 
@@ -160,35 +148,13 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   void set_pruning(bool on) { pruning_ = on; }
   [[nodiscard]] bool pruning() const { return pruning_; }
 
-  /// Interference-aware evaluation scheduling (PR 8): when on and the
-  /// repository carries a ConfigAnalysis, reconciliation orders its
-  /// threat batch by interference-graph cluster (constraints sharing
-  /// read-set attributes evaluate adjacently, improving memo locality).
-  /// The set of evaluations and their outcomes is unchanged — only the
-  /// order within the batch moves.
-  void set_scheduling(bool on) { scheduling_ = on; }
-  [[nodiscard]] bool scheduling() const { return scheduling_; }
-
-  /// Version-stamped validation memoization (this PR): definite outcomes
-  /// of analyzable constraints are cached keyed by (constraint, context
-  /// object, fingerprint of read-set entity write stamps) and reused while
-  /// no read-set entity is written.  Off by default — memo-off runs are
-  /// byte-identical to an un-memoized build (see docs/validation_memo.md).
-  void set_validation_memo(bool on) {
-    memo_enabled_ = on;
-    if (!on) memo_.clear();
-  }
-  [[nodiscard]] bool validation_memo() const { return memo_enabled_; }
-  [[nodiscard]] const validation::ValidationMemo::Stats& memo_stats() const {
-    return memo_.stats();
-  }
-  /// Drops cached results whose context object is `id` (entity destroyed).
-  void invalidate_memo_object(ObjectId id) { memo_.invalidate_object(id); }
-  /// Drops cached results of one constraint — required when a constraint
-  /// name is re-registered with a different body at runtime.
-  void invalidate_memo_constraint(const std::string& name) {
-    memo_.invalidate_constraint(name);
-  }
+  /// Always zero: the CCMgr keeps no validation-result cache.  Only the
+  /// perfbench counter that reads `hits` (perfbench/perfbench.cpp) keeps
+  /// this alive; delete it together with that metric.
+  struct MemoStats {
+    std::size_t hits = 0;
+  };
+  [[nodiscard]] MemoStats memo_stats() const { return {}; }
 
   /// Objects treated as possibly stale regardless of the replication
   /// oracle — used by the TreatAsDegraded reconciliation policy
@@ -227,12 +193,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     std::size_t deferred = 0;
     std::size_t postponed = 0;
     std::size_t conflict_notifications = 0;
-    /// Batched revalidation (memo on): threats whose (constraint,
-    /// fingerprint) was already evaluated and took the cached result.
-    std::size_t batched = 0;
-    /// Threats re-evaluated under interference-cluster ordering
-    /// (scheduler on and a ConfigAnalysis attached to the repository).
-    std::size_t scheduled = 0;
   };
 
   /// Attempts rollback-based resolution of a violated threat; provided by
@@ -270,8 +230,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     /// Invariant evaluations avoided because the abstract interpreter
     /// proved the constraint a tautology (PR 8).
     std::size_t evaluations_proven = 0;
-    /// Cumulative ReconcileStats::scheduled across reconcile() calls.
-    std::size_t reconcile_scheduled = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -379,23 +337,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   SatisfactionDegree evaluate(Constraint& constraint,
                               ConstraintValidationContext& ctx);
 
-  /// Memo-aware evaluate: on a fingerprint match the cached degree is
-  /// reused (no validate(), no constraint_validate cost); otherwise
-  /// evaluates and caches definite outcomes.  Falls through to evaluate()
-  /// whenever the memo is off or the constraint is ineligible, so memo-off
-  /// behavior is byte-identical.  `hit` (optional) reports a cache hit.
-  SatisfactionDegree evaluate_cached(Constraint& constraint,
-                                     ConstraintValidationContext& ctx,
-                                     bool* hit = nullptr);
-
-  /// Memo eligibility gate + cache-key computation.  Returns false (no
-  /// fingerprint) for opaque/unanalyzed constraints, read-sets that reach
-  /// beyond the context entity's attributes (arguments), query-based
-  /// contexts, unreachable context objects, and any validation under
-  /// LCC/NCC semantics (degraded mode or forced-stale objects).
-  bool memo_fingerprint(const Constraint& constraint,
-                        ConstraintValidationContext& ctx, std::uint64_t* out);
-
   /// Full handling of one constraint check within a business operation.
   void check(Constraint& constraint, const Invocation& inv,
              ObjectId context_object, ObjectAccessor& objects);
@@ -437,10 +378,7 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   bool degraded_ = false;
   double partition_weight_ = 1.0;
   bool pruning_ = true;
-  bool scheduling_ = false;
   bool in_validation_ = false;
-  bool memo_enabled_ = false;
-  validation::ValidationMemo memo_;
   std::unordered_set<ObjectId> forced_stale_;
 
   std::unordered_map<TxId, TxState> tx_state_;

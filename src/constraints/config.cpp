@@ -20,7 +20,7 @@ class XmlParser {
 
   XmlNode parse_document() {
     skip_misc();
-    XmlNode root = parse_element();
+    XmlNode root = parse_element(1);
     skip_misc();
     if (pos_ != in_.size()) {
       throw ConfigError("trailing content after root element");
@@ -132,7 +132,12 @@ class XmlParser {
     return out;
   }
 
-  XmlNode parse_element() {
+  /// `depth` is the element's nesting level, the root's being 1.
+  XmlNode parse_element(std::size_t depth) {
+    if (depth > kMaxXmlDepth) {
+      throw ConfigError("XML nesting deeper than the limit of " +
+                        std::to_string(kMaxXmlDepth) + " levels");
+    }
     expect('<');
     XmlNode node;
     node.tag = parse_name();
@@ -171,7 +176,7 @@ class XmlParser {
         return node;
       }
       if (pos_ < in_.size() && in_[pos_] == '<') {
-        node.children.push_back(parse_element());
+        node.children.push_back(parse_element(depth + 1));
       } else if (pos_ >= in_.size()) {
         throw ConfigError("unterminated element <" + node.tag + ">");
       }

@@ -33,6 +33,7 @@
 //   </constraints>
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
@@ -93,8 +94,12 @@ struct XmlNode {
   }
 };
 
+/// Deepest element nesting parse_xml accepts (the root is level 1).
+inline constexpr std::size_t kMaxXmlDepth = 256;
+
 /// Parses a document with one root element.  Supports attributes,
-/// nested elements, text content, comments and self-closing tags.
+/// nested elements, text content, comments and self-closing tags.  Throws
+/// ConfigError on malformed input and on nesting deeper than kMaxXmlDepth.
 [[nodiscard]] XmlNode parse_xml(std::string_view input);
 
 // -- constraint factory --------------------------------------------------------

@@ -68,6 +68,7 @@ Cluster::~Cluster() = default;
 
 ConstraintRepository& Cluster::application_constraints(
     const std::string& name) {
+  Runtime::Section section(*runtime_);
   auto it = app_repositories_.find(name);
   if (it == app_repositories_.end()) {
     it = app_repositories_
@@ -81,6 +82,7 @@ ConstraintRepository& Cluster::application_constraints(
 }
 
 std::vector<ObjectId> Cluster::objects_of(const std::string& class_name) const {
+  Runtime::Section section(*runtime_);  // the directory is shared
   std::vector<ObjectId> out;
   for (ObjectId id : directory_->all_objects()) {
     if (directory_->get(id).class_name == class_name) out.push_back(id);

@@ -4,9 +4,15 @@
 // (database I/O, replication propagation, constraint validations, threat
 // counts) into one structure that tests, benchmarks and operators can
 // inspect — the runtime-monitoring face of the middleware.
+//
+// Each counter group is described once, as a {name, member, reader} table
+// (kNodeCounters, kFaultCounters): collect_metrics() fills the snapshot
+// from it, and the JSON and Prometheus exporters (obs_export.h) walk the
+// same table, so a counter added here reaches all three.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,15 +33,49 @@ struct NodeMetrics {
   std::size_t validations = 0;
   std::size_t evaluations_skipped = 0;
   std::size_t evaluations_proven = 0;
-  std::size_t reconcile_scheduled = 0;
   std::size_t threats_detected = 0;
   std::size_t threats_accepted = 0;
   std::size_t threats_rejected = 0;
   std::size_t violations = 0;
-  std::size_t memo_hits = 0;
-  std::size_t memo_misses = 0;
-  std::size_t memo_stores = 0;
-  std::size_t memo_invalidated = 0;
+};
+
+/// One per-node counter: its export name, its NodeMetrics field and how to
+/// read it from a live node.  Table order is the export order.
+struct NodeCounter {
+  const char* name;
+  std::size_t NodeMetrics::*member;
+  std::size_t (*read)(DedisysNode&);
+};
+
+inline constexpr NodeCounter kNodeCounters[] = {
+    {"db_reads", &NodeMetrics::db_reads,
+     [](DedisysNode& n) { return n.db().read_count(); }},
+    {"db_writes", &NodeMetrics::db_writes,
+     [](DedisysNode& n) { return n.db().write_count(); }},
+    {"db_deletes", &NodeMetrics::db_deletes,
+     [](DedisysNode& n) { return n.db().delete_count(); }},
+    {"updates_propagated", &NodeMetrics::updates_propagated,
+     [](DedisysNode& n) { return n.replication().stats().updates_propagated; }},
+    {"backups_applied", &NodeMetrics::backups_applied,
+     [](DedisysNode& n) { return n.replication().stats().backups_applied; }},
+    {"history_records", &NodeMetrics::history_records,
+     [](DedisysNode& n) { return n.replication().stats().history_records; }},
+    {"stale_skipped", &NodeMetrics::stale_skipped,
+     [](DedisysNode& n) { return n.replication().stats().stale_skipped; }},
+    {"validations", &NodeMetrics::validations,
+     [](DedisysNode& n) { return n.ccmgr().stats().validations; }},
+    {"evaluations_skipped", &NodeMetrics::evaluations_skipped,
+     [](DedisysNode& n) { return n.ccmgr().stats().evaluations_skipped; }},
+    {"evaluations_proven", &NodeMetrics::evaluations_proven,
+     [](DedisysNode& n) { return n.ccmgr().stats().evaluations_proven; }},
+    {"threats_detected", &NodeMetrics::threats_detected,
+     [](DedisysNode& n) { return n.ccmgr().stats().threats_detected; }},
+    {"threats_accepted", &NodeMetrics::threats_accepted,
+     [](DedisysNode& n) { return n.ccmgr().stats().threats_accepted; }},
+    {"threats_rejected", &NodeMetrics::threats_rejected,
+     [](DedisysNode& n) { return n.ccmgr().stats().threats_rejected; }},
+    {"violations", &NodeMetrics::violations,
+     [](DedisysNode& n) { return n.ccmgr().stats().violations; }},
 };
 
 /// Cluster-wide fault-tolerance counters: the per-message fault outcomes
@@ -56,13 +96,55 @@ struct FaultToleranceMetrics {
   std::uint64_t tx_in_doubt = 0;
 };
 
+/// One cluster-wide fault-tolerance count, described like NodeCounter.
+/// `gauge` marks a current count (exported as a gauge) rather than a
+/// lifetime total.
+struct FaultCounter {
+  const char* name;
+  std::uint64_t FaultToleranceMetrics::*member;
+  std::uint64_t (*read)(Cluster&);
+  bool gauge = false;
+};
+
+inline constexpr FaultCounter kFaultCounters[] = {
+    {"messages_dropped", &FaultToleranceMetrics::messages_dropped,
+     [](Cluster& c) { return c.sim().network.fault_stats().messages_dropped; }},
+    {"messages_duplicated", &FaultToleranceMetrics::messages_duplicated,
+     [](Cluster& c) {
+       return c.sim().network.fault_stats().messages_duplicated;
+     }},
+    {"messages_delayed", &FaultToleranceMetrics::messages_delayed,
+     [](Cluster& c) { return c.sim().network.fault_stats().messages_delayed; }},
+    {"crashes", &FaultToleranceMetrics::crashes,
+     [](Cluster& c) { return c.sim().network.fault_stats().crashes; }},
+    {"restarts", &FaultToleranceMetrics::restarts,
+     [](Cluster& c) { return c.sim().network.fault_stats().restarts; }},
+    {"gc_retries", &FaultToleranceMetrics::gc_retries,
+     [](Cluster& c) { return c.gc().stats().retries; }},
+    {"gc_gave_up", &FaultToleranceMetrics::gc_gave_up,
+     [](Cluster& c) { return c.gc().stats().gave_up; }},
+    {"gc_duplicates_suppressed",
+     &FaultToleranceMetrics::gc_duplicates_suppressed,
+     [](Cluster& c) { return c.gc().stats().duplicates_suppressed; }},
+    {"gc_reordered", &FaultToleranceMetrics::gc_reordered,
+     [](Cluster& c) { return c.gc().stats().reordered; }},
+    {"tx_commits", &FaultToleranceMetrics::tx_commits,
+     [](Cluster& c) { return c.tx().stats().commits; }},
+    {"tx_aborts", &FaultToleranceMetrics::tx_aborts,
+     [](Cluster& c) { return c.tx().stats().aborts; }},
+    {"tx_presumed_aborts", &FaultToleranceMetrics::tx_presumed_aborts,
+     [](Cluster& c) { return c.tx().stats().presumed_aborts; }},
+    {"tx_in_doubt", &FaultToleranceMetrics::tx_in_doubt,
+     [](Cluster& c) -> std::uint64_t { return c.tx().in_doubt_count(); },
+     true},
+};
+
 struct ClusterMetrics {
   SimTime sim_time = 0;
   std::size_t stored_threat_identities = 0;
   std::size_t stored_threat_occurrences = 0;
   std::size_t live_objects = 0;
-  /// Shared constraint-repository query-cache counters (Section 2.2.1),
-  /// reported side by side with the validation memo.
+  /// Shared constraint-repository query-cache counters (Section 2.2.1).
   std::size_t lookup_searches = 0;
   std::size_t lookup_cache_hits = 0;
   std::size_t lookup_cache_misses = 0;
@@ -88,48 +170,15 @@ inline ClusterMetrics collect_metrics(Cluster& cluster) {
   out.lookup_searches = cluster.constraints().search_count();
   out.lookup_cache_hits = cluster.constraints().cache_hit_count();
   out.lookup_cache_misses = cluster.constraints().cache_miss_count();
-  {
-    const SimNetwork::FaultStats& net = cluster.sim().network.fault_stats();
-    const GroupCommunication::Stats& gc = cluster.gc().stats();
-    const TransactionManager::Stats& tx = cluster.tx().stats();
-    out.faults.messages_dropped = net.messages_dropped;
-    out.faults.messages_duplicated = net.messages_duplicated;
-    out.faults.messages_delayed = net.messages_delayed;
-    out.faults.crashes = net.crashes;
-    out.faults.restarts = net.restarts;
-    out.faults.gc_retries = gc.retries;
-    out.faults.gc_gave_up = gc.gave_up;
-    out.faults.gc_duplicates_suppressed = gc.duplicates_suppressed;
-    out.faults.gc_reordered = gc.reordered;
-    out.faults.tx_commits = tx.commits;
-    out.faults.tx_aborts = tx.aborts;
-    out.faults.tx_presumed_aborts = tx.presumed_aborts;
-    out.faults.tx_in_doubt = cluster.tx().in_doubt_count();
+  for (const FaultCounter& c : kFaultCounters) {
+    out.faults.*c.member = c.read(cluster);
   }
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     DedisysNode& node = cluster.node(i);
     NodeMetrics m;
     m.node = node.id();
     m.mode = node.mode();
-    m.db_reads = node.db().read_count();
-    m.db_writes = node.db().write_count();
-    m.db_deletes = node.db().delete_count();
-    m.updates_propagated = node.replication().stats().updates_propagated;
-    m.backups_applied = node.replication().stats().backups_applied;
-    m.history_records = node.replication().stats().history_records;
-    m.stale_skipped = node.replication().stats().stale_skipped;
-    m.validations = node.ccmgr().stats().validations;
-    m.evaluations_skipped = node.ccmgr().stats().evaluations_skipped;
-    m.evaluations_proven = node.ccmgr().stats().evaluations_proven;
-    m.reconcile_scheduled = node.ccmgr().stats().reconcile_scheduled;
-    m.threats_detected = node.ccmgr().stats().threats_detected;
-    m.threats_accepted = node.ccmgr().stats().threats_accepted;
-    m.threats_rejected = node.ccmgr().stats().threats_rejected;
-    m.violations = node.ccmgr().stats().violations;
-    m.memo_hits = node.ccmgr().memo_stats().hits;
-    m.memo_misses = node.ccmgr().memo_stats().misses;
-    m.memo_stores = node.ccmgr().memo_stats().stores;
-    m.memo_invalidated = node.ccmgr().memo_stats().invalidations;
+    for (const NodeCounter& c : kNodeCounters) m.*c.member = c.read(node);
     out.nodes.push_back(m);
   }
   return out;

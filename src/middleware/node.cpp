@@ -130,8 +130,6 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   wiring.default_min = options.default_min_degree;
   wiring.classes = &cluster.classes();
   wiring.obs = obs_;
-  wiring.memo = options.flags.validation_memo;
-  wiring.scheduler = options.flags.validation_scheduler;
   if (options.with_replication) {
     ReplicationManager* repl = repl_.get();
     wiring.threat_replicator =
@@ -237,9 +235,6 @@ void DedisysNode::destroy(TxId tx, ObjectId id) {
   if (tx.valid()) tm_->lock(tx, id);
   db_->erase("entities", to_string(id));
   repl_->destroy(id, tx);
-  // A later create() may reuse this id for a fresh entity whose write stamp
-  // restarts at zero; drop any cached outcomes keyed on the dead object.
-  ccmgr_->invalidate_memo_object(id);
   if (obs::on(obs_)) {
     obs_->latency("destroy", rt.now() - start);
   }
@@ -263,6 +258,11 @@ const MethodDescriptor& DedisysNode::resolve_method(
 Value DedisysNode::invoke(TxId tx, ObjectId target,
                           const std::string& method_name,
                           std::vector<Value> args) {
+  Runtime& rt = cluster_->runtime();
+  // The directory and the class registry are shared by every node: read
+  // them only inside the section, where no concurrent create can rehash
+  // the directory and no destroy can erase the entry under the reader.
+  Runtime::Section section(rt);
   const ObjectDirectory::Entry& entry = cluster_->directory()->get(target);
   const MethodDescriptor& md =
       resolve_method(entry.class_name, method_name, args.size());
@@ -281,11 +281,9 @@ Value DedisysNode::invoke(TxId tx, ObjectId target,
     inv.context["application"] = entry.application;
   }
 
-  Runtime& rt = cluster_->runtime();
-  Runtime::Section section(rt);
   const SimTime invoke_start = rt.now();
   std::string span;
-  if (obs::on(obs_)) span = entry.class_name + "::" + method_name;
+  if (obs::on(obs_)) span = inv.target_class + "::" + method_name;
   // The invocation's causal root span: every event emitted while the call
   // is on the stack — validations, 2PC, GCS legs, backup applies — joins
   // this trace (a top-level call opens a fresh trace; a call made from a
@@ -359,6 +357,8 @@ Value DedisysNode::invoke(TxId tx, ObjectId target,
 Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
                                  const MethodSignature& method,
                                  std::vector<Value> args) {
+  Runtime& rt = cluster_->runtime();
+  Runtime::Section section(rt);  // before any shared read, as in invoke()
   const ObjectDirectory::Entry& entry = cluster_->directory()->get(target);
   const MethodDescriptor& md =
       cluster_->classes().get(entry.class_name).method(method);
@@ -378,10 +378,8 @@ Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
     inv.context["application"] = entry.application;
   }
 
-  Runtime& rt = cluster_->runtime();
-  Runtime::Section section(rt);
   obs::SpanGuard span_guard(
-      obs_, rt, obs::on(obs_) ? entry.class_name + "::" + method.name : "",
+      obs_, rt, obs::on(obs_) ? inv.target_class + "::" + method.name : "",
       id_, target, tx);
 
   const NodeId exec = repl_->execution_node(target, inv.is_write);

@@ -75,9 +75,8 @@ struct NodeOptions {
   ReconciliationBusinessPolicy reconciliation_policy =
       ReconciliationBusinessPolicy::Proceed;
   /// Feature toggles shared with ClusterConfig and ChaosOptions (see
-  /// runtime/options.h).  The node consumes validation_memo,
-  /// validation_scheduler and legacy_unidirectional_views; the
-  /// observability pair is cluster-level.
+  /// runtime/options.h).  The node consumes legacy_unidirectional_views;
+  /// the observability pair is cluster-level.
   FeatureFlags flags;
 };
 

@@ -107,60 +107,24 @@ namespace dedisys::obs {
     Json node = Json::object();
     node.set("node", n.node.value());
     node.set("mode", to_string(n.mode));
-    node.set("db_reads", n.db_reads);
-    node.set("db_writes", n.db_writes);
-    node.set("db_deletes", n.db_deletes);
-    node.set("updates_propagated", n.updates_propagated);
-    node.set("backups_applied", n.backups_applied);
-    node.set("history_records", n.history_records);
-    node.set("stale_skipped", n.stale_skipped);
-    node.set("validations", n.validations);
-    node.set("evaluations_skipped", n.evaluations_skipped);
-    node.set("evaluations_proven", n.evaluations_proven);
-    node.set("reconcile_scheduled", n.reconcile_scheduled);
-    node.set("threats_detected", n.threats_detected);
-    node.set("threats_accepted", n.threats_accepted);
-    node.set("threats_rejected", n.threats_rejected);
-    node.set("violations", n.violations);
-    node.set("memo_hits", n.memo_hits);
-    node.set("memo_misses", n.memo_misses);
-    node.set("memo_stores", n.memo_stores);
-    node.set("memo_invalidated", n.memo_invalidated);
+    for (const NodeCounter& c : kNodeCounters) node.set(c.name, n.*c.member);
     nodes.push_back(std::move(node));
   }
   Json faults = Json::object();
-  faults.set("messages_dropped", m.faults.messages_dropped);
-  faults.set("messages_duplicated", m.faults.messages_duplicated);
-  faults.set("messages_delayed", m.faults.messages_delayed);
-  faults.set("crashes", m.faults.crashes);
-  faults.set("restarts", m.faults.restarts);
-  faults.set("gc_retries", m.faults.gc_retries);
-  faults.set("gc_gave_up", m.faults.gc_gave_up);
-  faults.set("gc_duplicates_suppressed", m.faults.gc_duplicates_suppressed);
-  faults.set("gc_reordered", m.faults.gc_reordered);
-  faults.set("tx_commits", m.faults.tx_commits);
-  faults.set("tx_aborts", m.faults.tx_aborts);
-  faults.set("tx_presumed_aborts", m.faults.tx_presumed_aborts);
-  faults.set("tx_in_doubt", m.faults.tx_in_doubt);
+  for (const FaultCounter& c : kFaultCounters) {
+    faults.set(c.name, m.faults.*c.member);
+  }
   Json out = Json::object();
   out.set("sim_time_us", m.sim_time);
   out.set("stored_threat_identities", m.stored_threat_identities);
   out.set("stored_threat_occurrences", m.stored_threat_occurrences);
   out.set("live_objects", m.live_objects);
-  // Both caches of the validation path, side by side: the repository's
-  // query cache (what to validate) and the validation memo (what the
-  // outcome was).
+  // The repository's query cache: what to validate for a call.
   Json lookup_cache = Json::object();
   lookup_cache.set("searches", m.lookup_searches);
   lookup_cache.set("hits", m.lookup_cache_hits);
   lookup_cache.set("misses", m.lookup_cache_misses);
-  Json memo = Json::object();
-  memo.set("hits", m.total(&NodeMetrics::memo_hits));
-  memo.set("misses", m.total(&NodeMetrics::memo_misses));
-  memo.set("stores", m.total(&NodeMetrics::memo_stores));
-  memo.set("invalidated", m.total(&NodeMetrics::memo_invalidated));
-  memo.set("lookup_cache", std::move(lookup_cache));
-  out.set("memo", std::move(memo));
+  out.set("lookup_cache", std::move(lookup_cache));
   out.set("faults", std::move(faults));
   out.set("nodes", std::move(nodes));
   return out;
@@ -263,40 +227,29 @@ namespace dedisys::obs {
          1.0);
   }
   head("dedisys_node_total", "counter", "Per-node lifetime counters.");
-  auto node_counter = [&](const NodeMetrics& n, const char* kind,
-                          std::size_t v) {
-    line("dedisys_node_total",
-         "node=\"" + std::to_string(n.node.value()) + "\",kind=\"" + kind +
-             "\"",
-         static_cast<double>(v));
-  };
   for (const NodeMetrics& n : m.nodes) {
-    node_counter(n, "validations", n.validations);
-    node_counter(n, "threats_detected", n.threats_detected);
-    node_counter(n, "threats_accepted", n.threats_accepted);
-    node_counter(n, "threats_rejected", n.threats_rejected);
-    node_counter(n, "violations", n.violations);
-    node_counter(n, "updates_propagated", n.updates_propagated);
-    node_counter(n, "backups_applied", n.backups_applied);
+    const std::string node =
+        "node=\"" + std::to_string(n.node.value()) + "\"";
+    for (const NodeCounter& c : kNodeCounters) {
+      line("dedisys_node_total", node + ",kind=\"" + c.name + "\"",
+           static_cast<double>(n.*c.member));
+    }
   }
 
-  head("dedisys_faults_total", "counter",
-       "Injected faults and their middleware-level consequences.");
-  auto fault = [&](const char* kind, std::uint64_t v) {
-    line("dedisys_faults_total", std::string("kind=\"") + kind + "\"",
-         static_cast<double>(v));
+  auto faults = [&](const char* name, const char* type, const char* help,
+                    bool gauge) {
+    head(name, type, help);
+    for (const FaultCounter& c : kFaultCounters) {
+      if (c.gauge != gauge) continue;
+      line(name, std::string("kind=\"") + c.name + "\"",
+           static_cast<double>(m.faults.*c.member));
+    }
   };
-  fault("messages_dropped", m.faults.messages_dropped);
-  fault("messages_duplicated", m.faults.messages_duplicated);
-  fault("messages_delayed", m.faults.messages_delayed);
-  fault("crashes", m.faults.crashes);
-  fault("restarts", m.faults.restarts);
-  fault("gc_retries", m.faults.gc_retries);
-  fault("gc_gave_up", m.faults.gc_gave_up);
-  fault("gc_duplicates_suppressed", m.faults.gc_duplicates_suppressed);
-  fault("tx_commits", m.faults.tx_commits);
-  fault("tx_aborts", m.faults.tx_aborts);
-  fault("tx_presumed_aborts", m.faults.tx_presumed_aborts);
+  faults("dedisys_faults_total", "counter",
+         "Injected faults and their middleware-level consequences.", false);
+  faults("dedisys_faults_current", "gauge",
+         "Fault-tolerance state held right now (e.g. in-doubt transactions).",
+         true);
 
   {
     shard::ShardMap& map = cluster.shards();

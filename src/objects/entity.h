@@ -54,7 +54,6 @@ class Entity {
     }
     it->second = std::move(value);
     ++version_;
-    stamp_write();
   }
 
   /// Records the virtual time of the most recent update (stamped by the
@@ -89,32 +88,13 @@ class Entity {
   void restore(const EntitySnapshot& snap) {
     attrs_ = snap.attributes;
     version_ = snap.version;
-    stamp_write();
   }
-
-  // -- write stamp (validation memoization, docs/validation_memo.md) ----------
-
-  /// Process-unique, monotonically increasing stamp of the last local
-  /// write to this replica.  Unlike version_, the stamp is bumped by
-  /// restore() too and never rolls back with a snapshot, so two states of
-  /// the same logical object can never share an (id, stamp) pair — the
-  /// property the validation-result cache keys on.  Stamps carry no
-  /// simulated-time meaning and are never serialized.
-  [[nodiscard]] std::uint64_t write_stamp() const { return write_stamp_; }
 
  private:
-  void stamp_write() { write_stamp_ = ++global_write_counter(); }
-
-  static std::uint64_t& global_write_counter() {
-    static std::uint64_t counter = 0;
-    return counter;
-  }
-
   ObjectId id_;
   const ClassDescriptor* cls_;
   AttributeMap attrs_;
   std::uint64_t version_ = 0;
-  std::uint64_t write_stamp_ = 0;
   SimTime last_update_ = 0;
   SimDuration expected_update_period_ = 0;
 };

@@ -397,8 +397,6 @@ std::vector<TraceEvent> events_from_json(const Json& doc) {
       TraceEventKind::InvocationStart, TraceEventKind::InvocationEnd,
       TraceEventKind::Validation,      TraceEventKind::ValidationSkipped,
       TraceEventKind::ValidationProven,
-      TraceEventKind::ValidationMemoHit,
-      TraceEventKind::ValidationMemoInvalidate,
       TraceEventKind::ThreatDetected,  TraceEventKind::ThreatNegotiated,
       TraceEventKind::ThreatAccepted,  TraceEventKind::ThreatRejected,
       TraceEventKind::ThreatReconciled, TraceEventKind::ThreatResolved,

@@ -136,11 +136,14 @@ class Json {
 
   // -- parsing ---------------------------------------------------------------
 
-  /// Parses a JSON document; throws ConfigError on malformed input or
-  /// trailing garbage.
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// Parses a JSON document; throws ConfigError on malformed input, on
+  /// trailing garbage and on nesting deeper than kMaxDepth.
   static Json parse(const std::string& text) {
     std::size_t pos = 0;
-    Json v = parse_value(text, pos);
+    Json v = parse_value(text, pos, 0);
     skip_ws(text, pos);
     if (pos != text.size()) throw ConfigError("json: trailing characters");
     return v;
@@ -261,12 +264,18 @@ class Json {
     ++pos;
   }
 
-  static Json parse_value(const std::string& t, std::size_t& pos) {
+  /// `depth` counts the arrays and objects enclosing the value.
+  static Json parse_value(const std::string& t, std::size_t& pos,
+                          std::size_t depth) {
     skip_ws(t, pos);
     const char c = peek(t, pos);
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      throw ConfigError("json: nesting deeper than the limit of " +
+                        std::to_string(kMaxDepth) + " levels");
+    }
     switch (c) {
-      case '{': return parse_object(t, pos);
-      case '[': return parse_array(t, pos);
+      case '{': return parse_object(t, pos, depth + 1);
+      case '[': return parse_array(t, pos, depth + 1);
       case '"': return Json(parse_string(t, pos));
       case 't':
         parse_literal(t, pos, "true");
@@ -349,7 +358,8 @@ class Json {
     }
   }
 
-  static Json parse_array(const std::string& t, std::size_t& pos) {
+  static Json parse_array(const std::string& t, std::size_t& pos,
+                          std::size_t depth) {
     expect(t, pos, '[');
     Json out = array();
     skip_ws(t, pos);
@@ -358,7 +368,7 @@ class Json {
       return out;
     }
     while (true) {
-      out.push_back(parse_value(t, pos));
+      out.push_back(parse_value(t, pos, depth));
       skip_ws(t, pos);
       const char c = peek(t, pos++);
       if (c == ']') return out;
@@ -366,7 +376,8 @@ class Json {
     }
   }
 
-  static Json parse_object(const std::string& t, std::size_t& pos) {
+  static Json parse_object(const std::string& t, std::size_t& pos,
+                           std::size_t depth) {
     expect(t, pos, '{');
     Json out = object();
     skip_ws(t, pos);
@@ -379,7 +390,7 @@ class Json {
       std::string key = parse_string(t, pos);
       skip_ws(t, pos);
       expect(t, pos, ':');
-      out.set(key, parse_value(t, pos));
+      out.set(key, parse_value(t, pos, depth));
       skip_ws(t, pos);
       const char c = peek(t, pos++);
       if (c == '}') return out;

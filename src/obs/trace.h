@@ -43,8 +43,6 @@ enum class TraceEventKind {
   Validation,        ///< one constraint validate() with its degree
   ValidationSkipped, ///< invariant skipped by static read-set pruning
   ValidationProven,  ///< invariant skipped: statically proven tautology
-  ValidationMemoHit, ///< cached result reused (read-set stamps unchanged)
-  ValidationMemoInvalidate, ///< cached result busted by a read-set write
   ThreatDetected,    ///< a threat arose (LCC/NCC outcome)
   ThreatNegotiated,  ///< negotiation ran (dynamic handler or static rule)
   ThreatAccepted,    ///< negotiation accepted the threat
@@ -78,9 +76,6 @@ enum class TraceEventKind {
     case TraceEventKind::Validation: return "validation";
     case TraceEventKind::ValidationSkipped: return "validation.skipped";
     case TraceEventKind::ValidationProven: return "validation.proven";
-    case TraceEventKind::ValidationMemoHit: return "validation.memo_hit";
-    case TraceEventKind::ValidationMemoInvalidate:
-      return "validation.memo_invalidate";
     case TraceEventKind::ThreatDetected: return "threat.detected";
     case TraceEventKind::ThreatNegotiated: return "threat.negotiated";
     case TraceEventKind::ThreatAccepted: return "threat.accepted";

@@ -179,6 +179,15 @@ class Parser {
     return true;
   }
 
+  /// Enters one nesting level (a parenthesis or a `not`).
+  void descend() {
+    if (depth_ == kMaxOclDepth) {
+      throw ConfigError("OCL nesting deeper than the limit of " +
+                        std::to_string(kMaxOclDepth) + " levels");
+    }
+    ++depth_;
+  }
+
   bool eat(const char* token) {
     skip_ws();
     const std::size_t len = std::string(token).size();
@@ -212,7 +221,12 @@ class Parser {
   }
 
   OclExpr parse_unary() {
-    if (eat_word("not")) return std::make_shared<NotNode>(parse_unary());
+    if (eat_word("not")) {
+      descend();
+      OclExpr inner = parse_unary();
+      --depth_;
+      return std::make_shared<NotNode>(std::move(inner));
+    }
     return parse_cmp();
   }
 
@@ -265,8 +279,10 @@ class Parser {
       return parse_string_literal();
     }
     if (eat("(")) {
+      descend();
       OclExpr e = parse_implies();
       if (!eat(")")) throw ConfigError("expected ')' in OCL: " + in_);
+      --depth_;
       return e;
     }
     if (eat_word("self")) {
@@ -323,6 +339,7 @@ class Parser {
 
   std::string in_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< enclosing parentheses and `not`s
 };
 
 }  // namespace

@@ -13,6 +13,7 @@
 //   prim := NUMBER | "self" "." IDENT | "arg" DIGIT | "(" expr ")"
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -85,7 +86,11 @@ class OclNode {
   virtual void accept(OclVisitor& visitor) const = 0;
 };
 
-/// Parses one OCL boolean expression; throws ConfigError on bad syntax.
+/// Deepest nesting of parentheses and `not` that parse_ocl accepts.
+inline constexpr std::size_t kMaxOclDepth = 256;
+
+/// Parses one OCL boolean expression; throws ConfigError on bad syntax and
+/// on nesting deeper than kMaxOclDepth.
 [[nodiscard]] OclExpr parse_ocl(const std::string& text);
 
 /// Evaluates a parsed constraint to a boolean (numeric results: != 0).

@@ -1,9 +1,9 @@
 // Cluster-wide feature flags and the execution-backend selector.
 //
-// Before this header existed, the same toggles (`validation_memo`,
-// `validation_scheduler`, `legacy_unidirectional_views`, the observability
-// pair) were declared three times — on ClusterConfig, NodeOptions and
-// ChaosOptions — and hand-copied between them at every construction site.
+// Before this header existed, the same toggles (the observability pair
+// and `legacy_unidirectional_views`) were declared three times — on
+// ClusterConfig, NodeOptions and ChaosOptions — and hand-copied between
+// them at every construction site.
 // FeatureFlags is the single value type all three embed; copying the whole
 // struct is the only propagation step left, so a flag added here reaches
 // every layer without further plumbing.
@@ -16,7 +16,7 @@ namespace dedisys {
 /// Which execution backend a Cluster runs on (see docs/runtime.md).
 enum class RuntimeBackend {
   /// Deterministic discrete-event simulation (SimClock + EventQueue +
-  /// SimNetwork).  Every chaos, gray, memo and seed-pinned test runs here;
+  /// SimNetwork).  Every chaos, gray and seed-pinned test runs here;
   /// same seed, byte-identical timeline.
   Sim,
   /// Wall-clock execution: one thread per node, real steady_clock time,
@@ -34,15 +34,6 @@ struct FeatureFlags {
   bool observability = false;
   /// Ring-buffer capacity of the trace recorder when observability is on.
   std::size_t trace_capacity = 4096;
-  /// Version-stamped validation memoization: cache definite constraint
-  /// outcomes keyed by the read-set entities' write stamps.  Off by
-  /// default — memo-off runs are byte-identical to builds without it.
-  bool validation_memo = false;
-  /// Interference-aware validation scheduling (PR 8): reconciliation
-  /// batches are ordered by the interference-graph clusters of the
-  /// repository's ConfigAnalysis.  Off by default — the legacy
-  /// `<constraint>@<object>` identity order is then byte-identical.
-  bool validation_scheduler = false;
   /// Pre-gray-failure GMS behavior: derive views from outbound
   /// reachability alone.  Under a one-way link cut this elects two
   /// primaries inside one strongly-connected component; only tests

@@ -9,7 +9,7 @@
 //   * SimRuntime (src/runtime/sim_runtime.h) delegates 1:1 to the
 //     deterministic SimClock / EventQueue / SimNetwork, so a sim-backed
 //     run is byte-identical to the pre-seam code path — every chaos,
-//     gray, memo and seed-pinned suite stays on it;
+//     gray and seed-pinned suite stays on it;
 //   * ThreadedRuntime (src/runtime/threaded_runtime.h) runs on real
 //     steady_clock time with one worker thread per node and lock-guarded
 //     mailboxes — the repo's first wall-clock execution surface.

@@ -4,7 +4,7 @@
 // EventQueue, SimNetwork) with no added arithmetic and no extra randomness
 // draws, so a sim-backed run is byte-identical to the pre-seam code path:
 // same seed, same fault plan, same trace timeline — the property every
-// chaos/gray/memo gate in scripts/check.sh pins.
+// chaos/gray/pins gate in scripts/check.sh checks.
 //
 // The standalone constructor serves unit fixtures that only need time and
 // cost accounting (transaction manager, record store, CCMgr tests): it

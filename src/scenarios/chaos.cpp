@@ -111,11 +111,6 @@ ChaosResult run_chaos(const ChaosOptions& options) {
 
   EvalApp::define_classes(cluster.classes());
   EvalApp::register_constraints(cluster.constraints());
-  if (options.flags.validation_scheduler) {
-    // The scheduler consults the repository's ConfigAnalysis; without it
-    // the batch order silently falls back to the legacy identity order.
-    analysis::analyze_repository(cluster.constraints(), &cluster.classes());
-  }
   // shards == 1 keeps the legacy full-replication create path so existing
   // seed-pinned timelines stay byte-identical; with more shards the
   // entities enter through the front door, confined to their shard.

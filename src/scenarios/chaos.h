@@ -42,12 +42,8 @@ struct ChaosOptions {
   ReplicationProtocol protocol = ReplicationProtocol::PrimaryPartition;
   /// Feature toggles forwarded to ClusterConfig verbatim.  Observability is
   /// forced on (the timeline is the determinism oracle) and the trace ring
-  /// gets headroom for timeline comparisons.  `validation_memo` runs of the
-  /// same seed must match memo-off runs byte for byte (check.sh --memo);
-  /// `validation_scheduler` likewise (the chaos constraints are opaque, so
-  /// every interference cluster is a singleton and batch order is the
-  /// legacy identity order); `legacy_unidirectional_views` re-enables the
-  /// split-brain regression pin.
+  /// gets headroom for timeline comparisons.  `legacy_unidirectional_views`
+  /// re-enables the split-brain regression pin.
   FeatureFlags flags{.observability = true, .trace_capacity = 65536};
   /// Draw the fault plan from `random_gray_plan` instead of
   /// `random_fault_plan`: the op mix then includes asymmetric one-way

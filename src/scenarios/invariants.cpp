@@ -32,7 +32,6 @@ std::string summarize_invariants(const ChaosResult& r) {
 PlanVerdict check_plan(const FaultPlan& plan, const ChaosOptions& options) {
   ChaosOptions opts = options;
   opts.plan = plan;
-  opts.flags.validation_memo = false;
 
   PlanVerdict verdict;
   verdict.result = run_chaos(opts);
@@ -41,16 +40,10 @@ PlanVerdict check_plan(const FaultPlan& plan, const ChaosOptions& options) {
   const ChaosResult second = run_chaos(opts);
   verdict.deterministic = second.timeline == verdict.result.timeline;
 
-  opts.flags.validation_memo = true;
-  const ChaosResult memo = run_chaos(opts);
-  verdict.memo_equivalent = memo.timeline == verdict.result.timeline;
-
   if (!verdict.invariants_ok) {
     verdict.violation = "invariants: " + summarize_invariants(verdict.result);
   } else if (!verdict.deterministic) {
-    verdict.violation = "non-deterministic: memo-off timelines differ";
-  } else if (!verdict.memo_equivalent) {
-    verdict.violation = "memo divergence: memo-on timeline differs";
+    verdict.violation = "non-deterministic: timelines differ";
   }
   return verdict;
 }

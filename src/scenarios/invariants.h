@@ -1,14 +1,9 @@
 // Property-based invariant harness over the chaos soak.
 //
 // Generates seeded random gray-failure fault plans, runs each through
-// `run_chaos` and checks the dependability invariants plus two meta
-// properties the simulator itself promises:
-//
-//   * determinism — two memo-off runs of the same (seed, plan) produce a
-//     byte-identical trace timeline,
-//   * memo equivalence — a memo-on run of the same inputs produces the
-//     same timeline as memo-off (validation memoization must be
-//     behavior-invisible).
+// `run_chaos` and checks the dependability invariants plus one meta
+// property the simulator itself promises: determinism — two runs of the
+// same (seed, plan) produce a byte-identical trace timeline.
 //
 // When a plan violates a property the harness shrinks it: a ddmin-style
 // loop drops chunks of actions and truncates the tail while the violation
@@ -29,20 +24,17 @@ namespace dedisys::scenarios {
 
 /// Outcome of checking one fault plan against every property.
 struct PlanVerdict {
-  bool invariants_ok = false;    ///< ChaosResult::invariants_ok()
-  bool deterministic = false;    ///< memo-off timeline == second memo-off run
-  bool memo_equivalent = false;  ///< memo-on timeline == memo-off timeline
-  ChaosResult result;            ///< first memo-off run
-  std::string violation;         ///< human-readable summary, empty when ok
+  bool invariants_ok = false;  ///< ChaosResult::invariants_ok()
+  bool deterministic = false;  ///< first run's timeline == second run's
+  ChaosResult result;          ///< first run
+  std::string violation;       ///< human-readable summary, empty when ok
 
-  [[nodiscard]] bool ok() const {
-    return invariants_ok && deterministic && memo_equivalent;
-  }
+  [[nodiscard]] bool ok() const { return invariants_ok && deterministic; }
 };
 
-/// Runs `plan` through the chaos soak three times (memo-off twice, memo-on
-/// once) and checks invariants, determinism and memo equivalence.  The
-/// plan overrides `options.plan`; everything else in `options` applies.
+/// Runs `plan` through the chaos soak twice and checks invariants and
+/// determinism.  The plan overrides `options.plan`; everything else in
+/// `options` applies.
 [[nodiscard]] PlanVerdict check_plan(const FaultPlan& plan,
                                      const ChaosOptions& options);
 

@@ -93,6 +93,9 @@ void FrontDoor::shed(ShardId shard, ShedReason reason,
 }
 
 Submission FrontDoor::submit(Request request) {
+  // Routing reads the shared class registry and directory, and the queues
+  // and counters are shared by every client thread.
+  Runtime::Section section(cluster_->runtime());
   Submission out;
 
   // -- routing ----------------------------------------------------------
@@ -285,6 +288,7 @@ Outcome FrontDoor::apply_one(ShardId shard, Entry entry) {
 }
 
 std::size_t FrontDoor::pump() {
+  Runtime::Section section(cluster_->runtime());
   std::size_t applied = 0;
   for (ShardId shard = 0; shard < queues_.size(); ++shard) {
     std::vector<Entry>& queue = queues_[shard];

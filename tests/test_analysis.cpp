@@ -812,7 +812,7 @@ TEST(ConfigAnalysisTest, DeployRejectsConflictingPairNamingBoth) {
   EXPECT_EQ(an.at("conflicts").size(), 0u);
 }
 
-// -- runtime wiring: proven tautologies and the reconciliation scheduler ----
+// -- runtime wiring: proven tautologies ---------------------------------------
 
 TEST(ConfigAnalysisTest, ProvenTautologySkipsValidationWithTrace) {
   ClusterConfig cfg;
@@ -875,71 +875,6 @@ TEST(ConfigAnalysisTest, ProvenTautologySkipsValidationWithTrace) {
 
   const ClusterMetrics m = collect_metrics(cluster);
   EXPECT_EQ(m.nodes[0].evaluations_proven, stats.evaluations_proven);
-}
-
-void register_interfering_invariants(ConstraintRepository& repo) {
-  repo.register_constraint(
-      make_reg("a_pair", "self.f0 >= 0 and self.f1 >= 0", "Wide",
-               {setter("Wide", "setF0"), setter("Wide", "setF1")}));
-  repo.register_constraint(
-      make_reg("z_pair", "self.f1 >= 0 and self.f2 >= 0", "Wide",
-               {setter("Wide", "setF1"), setter("Wide", "setF2")}));
-  repo.register_constraint(make_reg("m_solo", "self.f3 >= 0", "Wide",
-                                    {setter("Wide", "setF3")}));
-}
-
-std::vector<std::string> reconcile_order(bool scheduler,
-                                         std::size_t* scheduled) {
-  ClusterConfig cfg;
-  cfg.nodes = 1;
-  cfg.flags.observability = true;
-  Cluster cluster(cfg);
-  define_wide_class(cluster.classes());
-  register_interfering_invariants(cluster.constraints());
-  analysis::analyze_repository(cluster.constraints(), &cluster.classes());
-
-  DedisysNode& node = cluster.node(0);
-  node.ccmgr().set_scheduling(scheduler);
-  ObjectId id;
-  {
-    TxScope tx(node.tx());
-    id = node.create(tx.id(), "Wide");
-    tx.commit();
-  }
-  for (const char* name : {"a_pair", "z_pair", "m_solo"}) {
-    ConsistencyThreat t;
-    t.constraint_name = name;
-    t.context_object = id;
-    t.degree = SatisfactionDegree::Uncheckable;
-    cluster.threats().store(t);
-  }
-
-  const auto stats = node.ccmgr().reconcile(nullptr);
-  EXPECT_EQ(stats.reevaluated, 3u);
-  EXPECT_EQ(stats.removed_satisfied, 3u);
-  EXPECT_EQ(cluster.threats().identity_count(), 0u);
-  if (scheduled != nullptr) *scheduled = stats.scheduled;
-
-  std::vector<std::string> order;
-  for (const obs::TraceEvent& e : cluster.obs().trace().events_of(
-           obs::TraceEventKind::ThreatReconciled)) {
-    order.push_back(e.label);
-  }
-  return order;
-}
-
-/// The interference-aware scheduler reorders the reconciliation batch by
-/// cluster (a_pair and z_pair share f1) without changing any outcome;
-/// with the scheduler off the legacy identity order is untouched.
-TEST(ConfigAnalysisTest, SchedulerGroupsInterferingThreats) {
-  std::size_t scheduled_on = 0;
-  std::size_t scheduled_off = 0;
-  const std::vector<std::string> on = reconcile_order(true, &scheduled_on);
-  const std::vector<std::string> off = reconcile_order(false, &scheduled_off);
-  EXPECT_EQ(on, (std::vector<std::string>{"a_pair", "z_pair", "m_solo"}));
-  EXPECT_EQ(off, (std::vector<std::string>{"a_pair", "m_solo", "z_pair"}));
-  EXPECT_EQ(scheduled_on, 3u);
-  EXPECT_EQ(scheduled_off, 0u);
 }
 
 }  // namespace

@@ -77,24 +77,6 @@ TEST(ChaosInvariants, SameSeedIsByteIdentical) {
   EXPECT_EQ(first.metrics_json, second.metrics_json);
 }
 
-/// The interference-aware reconciliation scheduler (PR 8) is outcome- and
-/// trace-preserving under chaos: the app's constraints are opaque, so every
-/// one is its own singleton cluster and the scheduled batch order equals
-/// the legacy identity order — the full event timeline stays byte-identical
-/// and every invariant still holds.
-TEST(ChaosInvariants, SchedulerPreservesOutcomesAndTimeline) {
-  const ChaosResult off = run_chaos(options_for(8));
-  ChaosOptions scheduled = options_for(8);
-  scheduled.flags.validation_scheduler = true;
-  const ChaosResult on = run_chaos(scheduled);
-  expect_invariants(on, 8);
-  EXPECT_EQ(off.committed, on.committed);
-  EXPECT_EQ(off.aborted, on.aborted);
-  EXPECT_EQ(off.faults_applied, on.faults_applied);
-  EXPECT_EQ(off.conflicts, on.conflicts);
-  EXPECT_EQ(off.timeline, on.timeline);
-}
-
 TEST(ChaosInvariants, DifferentSeedsDiverge) {
   const ChaosResult a = run_chaos(options_for(6));
   const ChaosResult b = run_chaos(options_for(7));

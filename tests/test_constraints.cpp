@@ -171,6 +171,38 @@ TEST_F(RepositoryTest, SearchCountTracksQueries) {
   EXPECT_EQ(repo_.search_count(), before + 2);
 }
 
+TEST(RepositoryCaching, SetCachingIsIdempotentAndCountersTrack) {
+  ConstraintRepository repo;
+  ConstraintRegistration reg;
+  reg.constraint = std::make_shared<FunctionConstraint>(
+      "C", ConstraintType::HardInvariant, ConstraintPriority::Tradeable,
+      [](ConstraintValidationContext&) { return true; });
+  reg.affected_methods.push_back(AffectedMethod{
+      "A", MethodSignature{"m", {}},
+      ContextPreparation{ContextPreparationKind::CalledObject, ""}});
+  repo.register_constraint(std::move(reg));
+
+  (void)repo.lookup("A", {"m", {}}, ConstraintType::HardInvariant);  // miss
+  (void)repo.lookup("A", {"m", {}}, ConstraintType::HardInvariant);  // hit
+  EXPECT_EQ(repo.cache_miss_count(), 1u);
+  EXPECT_EQ(repo.cache_hit_count(), 1u);
+
+  repo.set_caching(true);  // idempotent: the warm cache survives
+  (void)repo.lookup("A", {"m", {}}, ConstraintType::HardInvariant);
+  EXPECT_EQ(repo.cache_hit_count(), 2u);
+  EXPECT_EQ(repo.cache_miss_count(), 1u);
+
+  repo.set_caching(false);  // a real transition still drops the cache
+  (void)repo.lookup("A", {"m", {}}, ConstraintType::HardInvariant);
+  EXPECT_EQ(repo.cache_hit_count(), 2u);  // naive path: counters untouched
+  EXPECT_EQ(repo.cache_miss_count(), 1u);
+
+  repo.set_caching(true);
+  (void)repo.lookup("A", {"m", {}}, ConstraintType::HardInvariant);
+  EXPECT_EQ(repo.cache_miss_count(), 2u);  // the cache had been invalidated
+  EXPECT_EQ(repo.search_count(), 5u);
+}
+
 // ---------------------------------------------------------------------------
 // Configuration parsing (Listing 4.1)
 // ---------------------------------------------------------------------------
@@ -287,6 +319,29 @@ TEST(XmlParser, HandlesEntitiesSelfClosingAndMismatch) {
   EXPECT_EQ(root.require_child("c").text, "text");
   EXPECT_THROW(parse_xml("<a><b></a>"), ConfigError);
   EXPECT_THROW(parse_xml("<a></a><b/>"), ConfigError);
+}
+
+TEST(XmlParser, NestingDepthIsBounded) {
+  auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+    return text;
+  };
+  EXPECT_EQ(parse_xml(nested(kMaxXmlDepth)).tag, "a");
+  EXPECT_THROW((void)parse_xml(nested(kMaxXmlDepth + 1)), ConfigError);
+  // A depth bomb fails with the typed error naming the limit instead of
+  // exhausting the stack.
+  std::string bomb;
+  for (int i = 0; i < 200000; ++i) bomb += "<a>";
+  try {
+    (void)parse_xml(bomb);
+    ADD_FAILURE() << "200000 nested elements parsed";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxXmlDepth)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -109,6 +109,84 @@ TEST(Metrics, JsonExportMatchesSnapshot) {
   EXPECT_TRUE(saw_accept);
 }
 
+TEST(Metrics, LookupCacheCountersExported) {
+  ClusterConfig cfg;
+  cfg.nodes = 1;
+  Cluster cluster(cfg);
+  EvalApp::define_classes(cluster.classes());
+  EvalApp::register_constraints(cluster.constraints());
+  const auto ids = EvalApp::create_entities(cluster.node(0), 1);
+  EvalApp::run_op(cluster.node(0), ids[0], "emptySatisfied");
+
+  const ClusterMetrics m = collect_metrics(cluster);
+  EXPECT_GE(m.lookup_searches, 1u);
+  EXPECT_EQ(m.lookup_searches, m.lookup_cache_hits + m.lookup_cache_misses);
+
+  // The query cache sits at metrics.lookup_cache, right after live_objects.
+  const obs::Json doc = obs::Json::parse(AdminConsole(cluster).metrics_json());
+  const obs::Json& metrics = doc.at("metrics");
+  const obs::Json::Object& keys = metrics.members();
+  for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
+    if (keys[i].first == "live_objects") {
+      EXPECT_EQ(keys[i + 1].first, "lookup_cache");
+    }
+  }
+  const obs::Json& cache = metrics.at("lookup_cache");
+  EXPECT_EQ(static_cast<std::size_t>(cache.at("searches").as_int()),
+            m.lookup_searches);
+  EXPECT_EQ(static_cast<std::size_t>(cache.at("hits").as_int()),
+            m.lookup_cache_hits);
+  EXPECT_EQ(static_cast<std::size_t>(cache.at("misses").as_int()),
+            m.lookup_cache_misses);
+}
+
+/// JSON and Prometheus are rendered from one counter table: every counter
+/// the JSON export carries per node and under `faults` has a Prometheus
+/// series too.
+TEST(Metrics, PrometheusExportsEveryJsonCounter) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  Cluster cluster(cfg);
+  EvalApp::define_classes(cluster.classes());
+  EvalApp::register_constraints(cluster.constraints());
+  const auto ids = EvalApp::create_entities(cluster.node(0), 2);
+  EvalApp::run_op(cluster.node(0), ids[0], "emptySatisfied");
+
+  const obs::Json doc = obs::Json::parse(AdminConsole(cluster).metrics_json());
+  const obs::Json& metrics = doc.at("metrics");
+  const std::string prom = obs::render_prometheus(cluster);
+
+  ASSERT_EQ(metrics.at("nodes").size(), 3u);
+  for (const obs::Json& node : metrics.at("nodes").items()) {
+    const std::string label =
+        "node=\"" + std::to_string(node.at("node").as_int()) + "\"";
+    for (const auto& [key, value] : node.members()) {
+      if (key == "node" || key == "mode") continue;
+      const std::string series = "dedisys_node_total{" + label +
+                                 ",kind=\"" + key + "\"} " +
+                                 std::to_string(value.as_int()) + "\n";
+      EXPECT_NE(prom.find(series), std::string::npos) << series;
+    }
+  }
+  ASSERT_GT(metrics.at("faults").size(), 0u);
+  for (const auto& [key, value] : metrics.at("faults").members()) {
+    const std::string labels = "{kind=\"" + key + "\"} " +
+                               std::to_string(value.as_int()) + "\n";
+    const bool total = prom.find("dedisys_faults_total" + labels) !=
+                       std::string::npos;
+    const bool current = prom.find("dedisys_faults_current" + labels) !=
+                         std::string::npos;
+    EXPECT_TRUE(total || current) << key;
+  }
+  // A current count is a gauge, not a lifetime total.
+  EXPECT_NE(prom.find("# TYPE dedisys_faults_current gauge"),
+            std::string::npos);
+  EXPECT_NE(prom.find("dedisys_faults_current{kind=\"tx_in_doubt\"}"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("dedisys_faults_total{kind=\"tx_in_doubt\"}"),
+            std::string::npos);
+}
+
 TEST(WebMultiThreat, TwoNegotiationRoundTripsInOneBusinessRequest) {
   ClusterConfig cfg;
   cfg.nodes = 3;

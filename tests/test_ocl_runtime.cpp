@@ -5,6 +5,7 @@
 
 #include "constraints/config.h"
 #include "constraints/ocl_constraint.h"
+#include "middleware/admin.h"
 #include "middleware/cluster.h"
 #include "scenarios/flight.h"
 
@@ -99,6 +100,68 @@ TEST_F(OclRuntimeTest, OclConstraintParticipatesInThreatHandling) {
   cluster_.inject(fault::Heal{});
   const auto report = cluster_.reconcile();
   EXPECT_EQ(report.constraints.removed_satisfied, 1u);
+}
+
+// Cross-object variant: the context flight is reached through a ticket's
+// reference, so the analyzer classifies the invariant CrossObject and a
+// degraded-mode booking yields a possibly-satisfied threat.
+constexpr const char* kRefDescriptor = R"(<constraints>
+  <constraint name="RefTicketConstraint" type="HARD" priority="RELAXABLE"
+              minSatisfactionDegree="POSSIBLY_SATISFIED">
+    <ocl>self.soldTickets &lt;= self.seats</ocl>
+    <context-class>Flight</context-class>
+    <affected-methods>
+      <affected-method>
+        <context-preparation>
+          <preparation-class>ReferenceIsContextObject</preparation-class>
+          <params><param name="getter" value="getFlight"/></params>
+        </context-preparation>
+        <objectMethod name="setFlight">
+          <objectClass>Ticket</objectClass>
+          <arguments><argument>object</argument></arguments>
+        </objectMethod>
+      </affected-method>
+    </affected-methods>
+  </constraint>
+</constraints>)";
+
+TEST(OclReferenceContext, DegradedBookingThreatIsRemovedAtReconciliation) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  Cluster cluster(cfg);
+  AdminConsole admin(cluster);
+  FlightBooking::define_classes(cluster.classes());
+  cluster.classes().define("Ticket").define_property("flight", Value{},
+                                                     "object");
+  admin.deploy_constraints(kRefDescriptor);
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 100);
+  auto book = [&] {
+    DedisysNode& node = cluster.node(0);
+    TxScope tx(node.tx());
+    const ObjectId ticket = node.create(tx.id(), "Ticket");
+    node.invoke(tx.id(), ticket, "setFlight", {Value{flight}});
+    tx.commit();
+  };
+
+  book();  // healthy: validated in full, no threat
+  EXPECT_EQ(cluster.threats().identity_count(), 0u);
+  cluster.inject(fault::split_indices({{0, 1}, {2}}));
+  FlightBooking::sell(cluster.node(0), flight, 5);
+  // The referenced flight is possibly stale (its node-2 replica is out of
+  // view), so the booking commits with an accepted threat.
+  book();
+  EXPECT_EQ(cluster.threats().identity_count(), 1u);
+  cluster.inject(fault::Heal{});
+
+  // A backup revalidates its own replica of the flight: satisfied.
+  EXPECT_TRUE(cluster.node(1)
+                  .ccmgr()
+                  .revalidate_for_objects("RefTicketConstraint", {flight})
+                  .empty());
+  const auto report = cluster.reconcile();
+  EXPECT_EQ(report.constraints.reevaluated, 1u);
+  EXPECT_EQ(report.constraints.removed_satisfied, 1u);
+  EXPECT_EQ(cluster.threats().identity_count(), 0u);
 }
 
 TEST_F(OclRuntimeTest, MalformedOclRejectedAtDeployment) {

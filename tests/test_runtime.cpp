@@ -125,13 +125,10 @@ TEST(FeatureFlags, PropagateFromClusterConfigToEveryLayer) {
   cfg.nodes = 2;
   cfg.flags.observability = true;
   cfg.flags.trace_capacity = 128;
-  cfg.flags.validation_memo = true;
   Cluster cluster(cfg);
 
   EXPECT_TRUE(cluster.obs().enabled());
   EXPECT_EQ(cluster.obs().trace().capacity(), 128u);
-  EXPECT_TRUE(cluster.node(0).ccmgr().validation_memo());
-  EXPECT_TRUE(cluster.node(1).ccmgr().validation_memo());
 }
 
 TEST(FeatureFlags, ObservabilityIsForcedOffOnTheThreadedBackend) {
@@ -232,6 +229,58 @@ TEST(ThreadedCluster, ConcurrentClientsOnDisjointObjectsAllCommit) {
   for (const ObjectId flight : flights) {
     EXPECT_EQ(FlightBooking::sold(cluster.node(0), flight), kSellsPerClient);
   }
+}
+
+/// The object directory is shared by every node.  One client creates and
+/// destroys flights at node 0 while another invokes at node 1: each
+/// invocation must look its target up inside the runtime section, or the
+/// lookup races with the directory insert or erase of a concurrent create
+/// or destroy (a data race under TSan, check.sh --threads).
+TEST(ThreadedCluster, InvocationsRaceCreateAndDestroyOfOtherObjects) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.backend = RuntimeBackend::Threaded;
+  Cluster cluster(cfg);
+  FlightBooking::define_classes(cluster.classes());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 1000);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::int64_t reads = 0;
+  std::thread invoker([&] {
+    DedisysNode& node = cluster.node(1);
+    try {
+      while (!done.load(std::memory_order_acquire)) {
+        EXPECT_EQ(as_int(node.invoke(TxId{}, flight, "getAvailable")), 1000);
+        ++reads;
+        started.store(true, std::memory_order_release);
+      }
+    } catch (const DedisysError& e) {
+      ADD_FAILURE() << "invocation failed: " << e.what();
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  DedisysNode& node = cluster.node(0);
+  constexpr int kCycles = 2000;
+  try {
+    for (int i = 0; i < kCycles; ++i) {
+      TxScope tx(node.tx());
+      const ObjectId scratch = node.create(tx.id(), "Flight");
+      node.destroy(tx.id(), scratch);
+      tx.commit();
+    }
+  } catch (...) {
+    done.store(true, std::memory_order_release);
+    invoker.join();
+    throw;
+  }
+  done.store(true, std::memory_order_release);
+  invoker.join();
+
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(cluster.directory()->size(), 1u);
 }
 
 }  // namespace

@@ -483,6 +483,35 @@ TEST(ObsJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("nope"), ConfigError);
 }
 
+TEST(ObsJson, NestingDepthIsBounded) {
+  auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)Json::parse(arrays(Json::kMaxDepth)));
+  EXPECT_THROW((void)Json::parse(arrays(Json::kMaxDepth + 1)), ConfigError);
+  // Objects and arrays count alike.
+  std::string mixed;
+  for (std::size_t i = 0; i < Json::kMaxDepth; ++i) {
+    mixed += i % 2 == 0 ? "{\"k\":" : "[";
+  }
+  mixed += "1";
+  for (std::size_t i = Json::kMaxDepth; i-- > 0;) {
+    mixed += i % 2 == 0 ? "}" : "]";
+  }
+  EXPECT_NO_THROW((void)Json::parse(mixed));
+  EXPECT_THROW((void)Json::parse("[" + mixed + "]"), ConfigError);
+  // A depth bomb fails with the typed error naming the limit instead of
+  // exhausting the stack.
+  try {
+    (void)Json::parse(std::string(200000, '['));
+    ADD_FAILURE() << "200000 nested arrays parsed";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(Json::kMaxDepth)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ObsJson, LatencySummaryExportRoundTrips) {
   LatencyHistogram h;
   for (SimDuration d : {10, 20, 30}) h.record(d);

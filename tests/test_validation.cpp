@@ -236,6 +236,36 @@ TEST_F(OclEval, ParseErrors) {
   EXPECT_THROW((void)parse_ocl("1 > 0 trailing"), ConfigError);
 }
 
+TEST_F(OclEval, NestingDepthIsBounded) {
+  auto parens = [](std::size_t depth) {
+    return std::string(depth, '(') + "1 > 0" + std::string(depth, ')');
+  };
+  auto nots = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "not ";
+    return text + "true";
+  };
+  EXPECT_TRUE(eval(parens(kMaxOclDepth)));
+  EXPECT_TRUE(eval(nots(kMaxOclDepth)));  // an even number of negations
+  EXPECT_THROW((void)parse_ocl(parens(kMaxOclDepth + 1)), ConfigError);
+  EXPECT_THROW((void)parse_ocl(nots(kMaxOclDepth + 1)), ConfigError);
+  // Parentheses and negations share one budget.
+  EXPECT_THROW((void)parse_ocl("not " + parens(kMaxOclDepth)), ConfigError);
+  // Depth bombs fail with the typed error naming the limit instead of
+  // exhausting the stack.
+  for (const std::string& bomb :
+       {std::string(200000, '('), nots(200000)}) {
+    try {
+      (void)parse_ocl(bomb);
+      ADD_FAILURE() << "a 200000-deep OCL expression parsed";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxOclDepth)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(OclEval, UnknownAttributeFailsAtEvaluation) {
   EXPECT_THROW((void)eval("self.nonexistent > 0"), DedisysError);
 }
