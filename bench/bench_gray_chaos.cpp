@@ -13,9 +13,8 @@
 //
 // Modes:
 //   default     run the property suite; exit 1 on any surviving violation
-//   --selftest  shrinker self-checks: a synthetic predicate must minimize
-//               to exactly the culprit action, and the known legacy-views
-//               split-brain plan must shrink to <= 3 ops
+//   --selftest  shrinker self-check: a synthetic predicate must minimize
+//               to exactly the culprit action
 //   --corpus D  replay every *.plan file in D through the checker
 //   --timeline  print the trace timeline of one gray run (determinism
 //               diffing in check.sh --gray)
@@ -86,62 +85,6 @@ int selftest_synthetic() {
   return 0;
 }
 
-/// End-to-end shrink of a real violation: with legacy unidirectional
-/// views, a one-way cut 1>0 makes node 1 drop node 0 from its view and
-/// elect itself primary while nodes 0 and 2 stick with the designated
-/// primary — split brain inside one strongly-connected component.  Buried
-/// in a noisy plan, the shrinker must reduce it to <= 3 ops.
-int selftest_known_violation(const scenarios::ChaosOptions& base) {
-  scenarios::ChaosOptions chaos = base;
-  chaos.flags.legacy_unidirectional_views = true;
-
-  RandomPlanOptions plan_options;
-  for (std::size_t n = 0; n < chaos.nodes; ++n) {
-    plan_options.nodes.push_back(NodeId{n});
-  }
-  plan_options.horizon = chaos.horizon;
-  plan_options.events = 6;
-  FaultPlan plan = dedisys::random_gray_plan(4242, plan_options);
-  plan.add(dedisys::sim_us(10),
-           fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
-  plan.sort();
-
-  const auto splits_brain = [&](const FaultPlan& candidate) {
-    return scenarios::check_plan(candidate, chaos).result.primary_violations >
-           0;
-  };
-  if (!splits_brain(plan)) {
-    std::cerr << "selftest: seeded legacy-views plan does not split brain\n";
-    return 1;
-  }
-  const scenarios::ShrinkResult shrunk =
-      scenarios::shrink_plan(plan, splits_brain, 120);
-  if (shrunk.plan.size() > 3) {
-    std::cerr << "selftest: known violation shrunk to " << shrunk.plan.size()
-              << " ops (want <= 3)\n"
-              << dedisys::plan_to_text(shrunk.plan);
-    return 1;
-  }
-  std::cerr << "selftest: known split-brain violation shrunk to "
-            << shrunk.plan.size() << " op(s) in " << shrunk.runs << " runs\n"
-            << dedisys::plan_to_text(shrunk.plan);
-
-  // The fix: with bidirectional views the same fault — followed by repair,
-  // since the shrinker drops the closing heal — holds every invariant.
-  scenarios::ChaosOptions fixed = base;
-  FaultPlan closed = shrunk.plan;
-  closed.add(fixed.horizon + 1, fault::Heal{});
-  closed.sort();
-  const scenarios::PlanVerdict verdict = scenarios::check_plan(closed, fixed);
-  if (!verdict.ok()) {
-    std::cerr << "selftest: fixed views still violate: " << verdict.violation
-              << "\n";
-    return 1;
-  }
-  std::cerr << "selftest: bidirectional views pass the shrunk plan\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,11 +125,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (selftest) {
-    const int synthetic = selftest_synthetic();
-    if (synthetic != 0) return synthetic;
-    return selftest_known_violation(options.chaos);
-  }
+  if (selftest) return selftest_synthetic();
 
   if (print_timeline) {
     scenarios::ChaosOptions chaos = options.chaos;

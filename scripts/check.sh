@@ -31,7 +31,7 @@
 #                                    must equal a fresh run byte for byte.
 #                                    --update rewrites tests/pins.sha256
 #   scripts/check.sh --gray          gray-failure gate only: shrinker
-#                                    self-test, 20 random gray plans
+#                                    synthetic self-test, 20 random gray plans
 #                                    through the invariant harness, a
 #                                    byte-identical gray timeline pair and
 #                                    the committed regression corpus
@@ -39,7 +39,9 @@
 #                                    self-test, the trace-driven invariant
 #                                    checker cross-checked against the
 #                                    chaos harness on 5 seeded gray plans
-#                                    plus the regression corpus, and an
+#                                    plus the regression corpus, the
+#                                    committed split-brain views fixture
+#                                    flagged by --check, and an
 #                                    exported metrics document validated
 #                                    end to end (json_validate --metrics,
 #                                    --tree/--top/--check over the file)
@@ -122,11 +124,11 @@ chaos_smoke() {
   rm -f "$a" "$b"
 }
 
-# Gray-failure gate: the shrinker must minimize a synthetic plan and the
-# known legacy-views split-brain plan (<= 3 ops), 20 random gray plans
-# must hold every invariant (plus determinism), two
-# runs of one gray seed must emit byte-identical timelines, and the
-# committed regression corpus must replay clean.
+# Gray-failure gate: the shrinker must minimize a synthetic plan to its
+# culprit op, 20 random gray plans must hold every invariant (plus
+# determinism), two runs of one gray seed must emit byte-identical
+# timelines, and the committed regression corpus must replay clean.
+# (test_gray_chaos shrinks a property of real chaos runs.)
 gray_smoke() {
   local gray="$1/bench/bench_gray_chaos"
   "$gray" --selftest 2> /dev/null \
@@ -153,9 +155,11 @@ gray_smoke() {
 }
 
 # Trace gate: the span analyzer / trace-driven invariant checker must pass
-# its synthetic self-test (including the legacy split-brain end-to-end
-# pin), agree with the chaos harness's state-based ground truth on 5
-# seeded gray plans and on every committed regression plan, and a real
+# its synthetic self-test, agree with the chaos harness's state-based
+# ground truth on 5 seeded gray plans and on every committed regression
+# plan, flag the committed split-brain fixture (the view.change events of
+# a run whose views came from outbound reachability alone, under the
+# one-way cut of tests/gray_corpus/asym_one_way_cut.plan), and a real
 # metrics export must survive the whole offline pipeline: JSON shape
 # validation plus the tree/top/check file modes.
 trace_smoke() {
@@ -170,6 +174,16 @@ trace_smoke() {
   "$trace" --corpus tests/gray_corpus \
     || { echo "check.sh: trace corpus cross-check failed" >&2; exit 1; }
   echo "trace gate: regression corpus cross-checked ok"
+  local rc=0 verdict
+  verdict="$("$trace" --check tests/fixtures/split_brain_views.json)" \
+    || rc=$?
+  if [ "$rc" -ne 1 ] \
+      || ! grep -q "one-primary-per-partition" <<< "$verdict"; then
+    echo "check.sh: split-brain fixture: expected exit 1 and a" \
+      "one-primary-per-partition violation, got exit $rc" >&2
+    exit 1
+  fi
+  echo "trace gate: split-brain fixture flagged"
   local export_file
   export_file="$(mktemp /tmp/trace_export_XXXXXX.json)"
   "$trace" --export "$export_file" --seed 7 > /dev/null

@@ -43,18 +43,9 @@ class NodeWeights {
 
 class GroupMembershipService : public TopologyListener {
  public:
-  /// `legacy_unidirectional_views` restores the pre-gray-failure behavior
-  /// of deriving views from outbound reachability alone.  Under a one-way
-  /// cut that lets two nodes of the same strongly-connected component elect
-  /// different primaries (split brain); it exists only so tests can pin the
-  /// bug this flag's default fixes.
   GroupMembershipService(Runtime& rt, NodeId self,
-                         std::shared_ptr<NodeWeights> weights,
-                         bool legacy_unidirectional_views = false)
-      : rt_(rt),
-        self_(self),
-        weights_(std::move(weights)),
-        legacy_unidirectional_(legacy_unidirectional_views) {
+                         std::shared_ptr<NodeWeights> weights)
+      : rt_(rt), self_(self), weights_(std::move(weights)) {
     rt_.subscribe(this);
     recompute(/*force=*/true);
   }
@@ -100,9 +91,7 @@ class GroupMembershipService : public TopologyListener {
     // cut, outbound reachability alone lets a node that cannot send to
     // the primary form a smaller view and elect a second primary inside
     // the same strongly-connected component.
-    std::vector<NodeId> members = legacy_unidirectional_
-                                      ? rt_.legacy_membership_set(self_)
-                                      : rt_.membership_set(self_);
+    std::vector<NodeId> members = rt_.membership_set(self_);
     std::sort(members.begin(), members.end());
     if (!force && members == view_.members) return;
 
@@ -122,7 +111,6 @@ class GroupMembershipService : public TopologyListener {
   Runtime& rt_;
   NodeId self_;
   std::shared_ptr<NodeWeights> weights_;
-  bool legacy_unidirectional_ = false;
   obs::Observability* obs_ = nullptr;
   View view_;
   std::uint64_t next_view_id_ = 1;

@@ -20,16 +20,14 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   if (config_.backend == RuntimeBackend::Sim && config_.flags.observability) {
     obs_.enable(config_.flags.trace_capacity);
   }
-  network_ = std::make_unique<SimNetwork>(clock_, config_.cost);
-  for (std::size_t i = 0; i < config_.nodes; ++i) {
-    network_->add_node(NodeId{i});
-  }
-  events_ = std::make_unique<EventQueue>(clock_);
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < config_.nodes; ++i) ids.push_back(NodeId{i});
   if (config_.backend == RuntimeBackend::Threaded) {
-    runtime_ = std::make_unique<ThreadedRuntime>(network_->nodes(),
-                                                 config_.cost);
+    runtime_ = std::make_unique<ThreadedRuntime>(ids, config_.cost);
   } else {
-    runtime_ = std::make_unique<SimRuntime>(clock_, *network_, *events_);
+    auto sim = std::make_unique<SimRuntime>(config_.cost, ids);
+    sim_ = sim.get();
+    runtime_ = std::move(sim);
   }
   tm_ = std::make_unique<TransactionManager>(*runtime_);
   tm_->set_observability(&obs_);
@@ -48,7 +46,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   options.keep_history = config_.keep_history;
   options.default_min_degree = config_.default_min_degree;
   options.reconciliation_policy = config_.reconciliation_policy;
-  options.flags = config_.flags;
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     nodes_.push_back(std::make_unique<DedisysNode>(*this, NodeId{i}, options));
   }
@@ -59,7 +56,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   for (auto& n : nodes_) n->replication().connect_peers(managers);
 
   shard_map_ = std::make_unique<shard::ShardMap>(
-      network_->nodes(), config_.shards == 0 ? 1 : config_.shards);
+      ids, config_.shards == 0 ? 1 : config_.shards);
   front_door_ = std::make_unique<shard::FrontDoor>(*this, *shard_map_,
                                                    config_.shard_policy);
 }
@@ -98,9 +95,18 @@ DedisysNode* Cluster::node_by_id(NodeId id) {
   return nullptr;
 }
 
+SimHandles Cluster::sim() {
+  if (sim_ == nullptr) {
+    throw ConfigError(
+        "fault injection and the sim substrate need the sim backend");
+  }
+  return SimHandles{sim_->clock(), sim_->network(), sim_->events()};
+}
+
 void Cluster::inject(const fault::Op& op) {
+  SimNetwork& network = sim().network;
   std::visit(
-      [this](const auto& o) {
+      [&](const auto& o) {
         using T = std::decay_t<decltype(o)>;
         if constexpr (std::is_same_v<T, fault::Partition>) {
           split_ids(o.groups);
@@ -110,25 +116,22 @@ void Cluster::inject(const fault::Op& op) {
           if (DedisysNode* n = node_by_id(o.node)) {
             do_crash(*n);
           } else {
-            network_->apply(o);
+            network.apply(o);
           }
         } else if constexpr (std::is_same_v<T, fault::Restart>) {
-          if (DedisysNode* n = node_by_id(o.node)) {
-            do_restart(*n);
-          } else {
-            network_->apply(o);
-          }
+          inject(o);
         } else {
           // Link faults and gray ops act on the network substrate alone.
-          network_->apply(o);
+          network.apply(o);
         }
       },
       op);
 }
 
 std::size_t Cluster::inject(const fault::Restart& op) {
+  SimNetwork& network = sim().network;
   if (DedisysNode* n = node_by_id(op.node)) return do_restart(*n);
-  network_->apply(op);
+  network.apply(op);
   return 0;
 }
 
@@ -144,29 +147,29 @@ void Cluster::split_ids(std::vector<std::vector<NodeId>> node_groups) {
       }
       detail += '}';
     }
-    obs_.event(clock_.now(), obs::TraceEventKind::NetworkSplit, {}, {}, {},
+    obs_.event(runtime_->now(), obs::TraceEventKind::NetworkSplit, {}, {}, {},
                "partition", detail);
   }
-  network_->apply(fault::Partition{std::move(node_groups)});
+  sim_->network().apply(fault::Partition{std::move(node_groups)});
 }
 
 void Cluster::do_heal() {
   if (obs_.enabled()) {
-    obs_.event(clock_.now(), obs::TraceEventKind::NetworkHeal, {}, {}, {},
+    obs_.event(runtime_->now(), obs::TraceEventKind::NetworkHeal, {}, {}, {},
                "heal");
   }
-  network_->apply(fault::Heal{});
+  sim_->network().apply(fault::Heal{});
 }
 
 void Cluster::do_crash(DedisysNode& n) {
   // The pause-crash wipes the node's volatile state (in-memory replicas);
   // the durable record store survives for restart recovery.
   n.replication().drop_volatile();
-  network_->apply(fault::Crash{n.id()});
+  sim_->network().apply(fault::Crash{n.id()});
 }
 
 std::size_t Cluster::do_restart(DedisysNode& n) {
-  network_->apply(fault::Restart{n.id()});
+  sim_->network().apply(fault::Restart{n.id()});
 
   // Coordinator recovery first: any transaction left in doubt by a crash
   // between prepare and commit is presumed aborted, releasing its locks
@@ -230,25 +233,7 @@ std::size_t Cluster::do_restart(DedisysNode& n) {
 
 void Cluster::adopt_fault_engine(FaultEngine& engine) {
   engine.set_observability(&obs_);
-  engine.set_crash_handler([this](NodeId id) {
-    if (DedisysNode* n = node_by_id(id)) {
-      do_crash(*n);
-    } else {
-      network_->apply(fault::Crash{id});
-    }
-  });
-  engine.set_restart_handler([this](NodeId id) {
-    if (DedisysNode* n = node_by_id(id)) {
-      do_restart(*n);
-    } else {
-      network_->apply(fault::Restart{id});
-    }
-  });
-  engine.set_partition_handler(
-      [this](const std::vector<std::vector<NodeId>>& groups) {
-        split_ids(groups);
-      });
-  engine.set_heal_handler([this] { do_heal(); });
+  engine.set_sink([this](const fault::Op& op) { inject(op); });
 }
 
 Cluster::ReconciliationReport Cluster::reconcile(

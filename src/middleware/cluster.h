@@ -32,6 +32,7 @@
 namespace dedisys {
 
 class FaultEngine;
+class SimRuntime;
 
 struct ClusterConfig {
   std::size_t nodes = 3;
@@ -68,9 +69,9 @@ struct ClusterConfig {
   shard::ShardPolicy shard_policy;
 };
 
-/// Narrow view of the deterministic-simulation substrate, for fault
-/// injection and chaos/script drivers, so the public cluster surface does
-/// not leak backend internals; meaningless on the threaded backend (see
+/// Narrow view of the deterministic-simulation substrate that SimRuntime
+/// owns, for fault injection and chaos/script drivers, so the public
+/// cluster surface does not leak backend internals (see
 /// docs/fault_injection.md).
 struct SimHandles {
   SimClock& clock;
@@ -93,10 +94,11 @@ class Cluster {
 
   // -- sim-only substrate (fault injection, chaos/script drivers) --------------
 
-  /// The deterministic-simulation internals behind one narrow handle
-  /// (meaningless on the threaded backend; the FaultEngine and the chaos
-  /// and scripted scenarios are sim-pinned, see docs/fault_injection.md).
-  SimHandles sim() { return SimHandles{clock_, *network_, *events_}; }
+  /// The deterministic-simulation internals behind one narrow handle (the
+  /// FaultEngine and the chaos and scripted scenarios are sim-pinned, see
+  /// docs/fault_injection.md).  Throws ConfigError on the threaded
+  /// backend, which has no such substrate.
+  SimHandles sim();
 
   /// Cluster-wide distributed transaction manager.
   TransactionManager& tx() { return *tm_; }
@@ -153,24 +155,20 @@ class Cluster {
 
   // -- failure injection ----------------------------------------------------------
 
-  /// Applies one typed fault operation, routing node-lifecycle ops through
-  /// the full middleware path (crash drops volatile replica state, restart
-  /// recovers in-doubt transactions and rebuilds replicas, partitions are
-  /// recorded for reconciliation and traced) and everything else straight
-  /// to the sim network — the same dispatch a wired FaultEngine uses.
+  /// Applies one typed fault operation — the one place that decides which
+  /// ops take the middleware path: a crash drops volatile replica state, a
+  /// restart recovers in-doubt transactions and rebuilds replicas,
+  /// partitions and heals are recorded for reconciliation and traced.
+  /// Every other op acts on the sim network alone.  Throws ConfigError on
+  /// the threaded backend, before touching any state: it applies no faults.
   void inject(const fault::Op& op);
 
   /// Restart overload: returns the number of replicas rebuilt.
   std::size_t inject(const fault::Restart& op);
 
-  /// Same as inject(fault::Partition), with node ids (fault-engine
-  /// partition actions route here so the groups are recorded for
-  /// reconciliation and traced).
-  void split_ids(std::vector<std::vector<NodeId>> node_groups);
-
-  /// Wires a fault engine to this cluster: its crash, restart, partition
-  /// and heal actions take the same middleware path as inject(), and its
-  /// trace events land in this cluster's observability hub.
+  /// Wires a fault engine to this cluster: every action it applies goes
+  /// through inject(), and its trace events land in this cluster's
+  /// observability hub.
   void adopt_fault_engine(FaultEngine& engine);
 
   // -- reconciliation (Section 4.4) -------------------------------------------------
@@ -192,20 +190,19 @@ class Cluster {
       std::size_t coordinator = 0);
 
  private:
-  /// Typed-op implementations shared by inject() and the fault-engine
-  /// handlers.
+  /// Typed-op implementations behind inject().
+  void split_ids(std::vector<std::vector<NodeId>> node_groups);
   void do_heal();
   void do_crash(DedisysNode& n);
   std::size_t do_restart(DedisysNode& n);
 
   ClusterConfig config_;
-  SimClock clock_;
   obs::Observability obs_;
-  std::unique_ptr<SimNetwork> network_;
-  std::unique_ptr<EventQueue> events_;
   /// Destroyed after nodes_ (declared before them): node teardown still
   /// unsubscribes GMS listeners through the runtime.
   std::unique_ptr<Runtime> runtime_;
+  /// runtime_ itself on the sim backend; null on the threaded backend.
+  SimRuntime* sim_ = nullptr;
   std::unique_ptr<TransactionManager> tm_;
   std::unique_ptr<GroupCommunication> gc_;
   std::shared_ptr<NodeWeights> weights_;

@@ -106,19 +106,24 @@ struct FaultCounter {
   bool gauge = false;
 };
 
+/// The sim network's fault counters; all zero on the threaded backend,
+/// which applies no faults and has no sim network.
+inline SimNetwork::FaultStats network_fault_stats(Cluster& c) {
+  if (c.config().backend != RuntimeBackend::Sim) return {};
+  return c.sim().network.fault_stats();
+}
+
 inline constexpr FaultCounter kFaultCounters[] = {
     {"messages_dropped", &FaultToleranceMetrics::messages_dropped,
-     [](Cluster& c) { return c.sim().network.fault_stats().messages_dropped; }},
+     [](Cluster& c) { return network_fault_stats(c).messages_dropped; }},
     {"messages_duplicated", &FaultToleranceMetrics::messages_duplicated,
-     [](Cluster& c) {
-       return c.sim().network.fault_stats().messages_duplicated;
-     }},
+     [](Cluster& c) { return network_fault_stats(c).messages_duplicated; }},
     {"messages_delayed", &FaultToleranceMetrics::messages_delayed,
-     [](Cluster& c) { return c.sim().network.fault_stats().messages_delayed; }},
+     [](Cluster& c) { return network_fault_stats(c).messages_delayed; }},
     {"crashes", &FaultToleranceMetrics::crashes,
-     [](Cluster& c) { return c.sim().network.fault_stats().crashes; }},
+     [](Cluster& c) { return network_fault_stats(c).crashes; }},
     {"restarts", &FaultToleranceMetrics::restarts,
-     [](Cluster& c) { return c.sim().network.fault_stats().restarts; }},
+     [](Cluster& c) { return network_fault_stats(c).restarts; }},
     {"gc_retries", &FaultToleranceMetrics::gc_retries,
      [](Cluster& c) { return c.gc().stats().retries; }},
     {"gc_gave_up", &FaultToleranceMetrics::gc_gave_up,
@@ -160,8 +165,10 @@ struct ClusterMetrics {
   }
 };
 
-/// Takes a consistent snapshot of the whole cluster's metrics.
+/// Takes a consistent snapshot of the whole cluster's metrics (inside a
+/// protocol section, so threaded clients cannot write mid-read).
 inline ClusterMetrics collect_metrics(Cluster& cluster) {
+  Runtime::Section section(cluster.runtime());
   ClusterMetrics out;
   out.sim_time = cluster.runtime().now();
   out.stored_threat_identities = cluster.threats().identity_count();

@@ -111,8 +111,8 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   db_ = std::make_unique<RecordStore>(rt);
   history_ = std::make_unique<ReplicaHistoryStore>(rt);
   tm_ = &cluster.tx();
-  gms_ = std::make_unique<GroupMembershipService>(
-      rt, id, cluster.weights_ptr(), options.flags.legacy_unidirectional_views);
+  gms_ = std::make_unique<GroupMembershipService>(rt, id,
+                                                  cluster.weights_ptr());
   gms_->set_observability(obs_);
   gms_->subscribe(this);
   repl_ = std::make_unique<ReplicationManager>(

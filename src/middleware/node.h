@@ -29,7 +29,6 @@
 #include "persist/record_store.h"
 #include "replication/adapt.h"
 #include "replication/manager.h"
-#include "runtime/options.h"
 #include "tx/tx_manager.h"
 
 namespace dedisys {
@@ -74,10 +73,6 @@ struct NodeOptions {
   SatisfactionDegree default_min_degree = SatisfactionDegree::Satisfied;
   ReconciliationBusinessPolicy reconciliation_policy =
       ReconciliationBusinessPolicy::Proceed;
-  /// Feature toggles shared with ClusterConfig and ChaosOptions (see
-  /// runtime/options.h).  The node consumes legacy_unidirectional_views;
-  /// the observability pair is cluster-level.
-  FeatureFlags flags;
 };
 
 class DedisysNode final : public ViewListener {

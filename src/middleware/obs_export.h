@@ -173,8 +173,10 @@ namespace dedisys::obs {
 }
 
 /// The full observability document of a cluster: counters snapshot,
-/// latency percentiles and the retained event trace.
+/// latency percentiles and the retained event trace, read inside one
+/// protocol section.
 [[nodiscard]] inline Json export_cluster_json(Cluster& cluster) {
+  Runtime::Section section(cluster.runtime());
   Json out = Json::object();
   out.set("metrics", to_json(collect_metrics(cluster)));
   out.set("sharding", shards_to_json(cluster));
@@ -191,8 +193,10 @@ namespace dedisys::obs {
 /// Prometheus text exposition (version 0.0.4) of the same document, served
 /// at /metrics.prom.  Counters come from the per-node metrics snapshot,
 /// quantiles from the latency registry, and the dedisys_trace_* family from
-/// the span analysis of the retained event ring.
+/// the span analysis of the retained event ring; read inside one protocol
+/// section.
 [[nodiscard]] inline std::string render_prometheus(Cluster& cluster) {
+  Runtime::Section section(cluster.runtime());
   std::string out;
   auto num = [](double v) {
     char buf[40];

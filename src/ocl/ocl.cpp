@@ -179,7 +179,8 @@ class Parser {
     return true;
   }
 
-  /// Enters one nesting level (a parenthesis or a `not`).
+  /// Enters one nesting level: a parenthesis, a `not`, or one more binary
+  /// operator of a left-deep chain (`a + b + …` nests like parentheses).
   void descend() {
     if (depth_ == kMaxOclDepth) {
       throw ConfigError("OCL nesting deeper than the limit of " +
@@ -197,26 +198,35 @@ class Parser {
   }
 
   OclExpr parse_implies() {
+    const std::size_t base = depth_;
     OclExpr lhs = parse_or();
     while (eat_word("implies")) {
+      descend();
       lhs = std::make_shared<BinaryNode>(OclBinOp::Implies, lhs, parse_or());
     }
+    depth_ = base;
     return lhs;
   }
 
   OclExpr parse_or() {
+    const std::size_t base = depth_;
     OclExpr lhs = parse_and();
     while (eat_word("or")) {
+      descend();
       lhs = std::make_shared<BinaryNode>(OclBinOp::Or, lhs, parse_and());
     }
+    depth_ = base;
     return lhs;
   }
 
   OclExpr parse_and() {
+    const std::size_t base = depth_;
     OclExpr lhs = parse_unary();
     while (eat_word("and")) {
+      descend();
       lhs = std::make_shared<BinaryNode>(OclBinOp::And, lhs, parse_unary());
     }
+    depth_ = base;
     return lhs;
   }
 
@@ -246,26 +256,34 @@ class Parser {
   }
 
   OclExpr parse_add() {
+    const std::size_t base = depth_;
     OclExpr lhs = parse_mul();
     while (true) {
       if (eat("+")) {
+        descend();
         lhs = std::make_shared<BinaryNode>(OclBinOp::Add, lhs, parse_mul());
       } else if (eat("-")) {
+        descend();
         lhs = std::make_shared<BinaryNode>(OclBinOp::Sub, lhs, parse_mul());
       } else {
+        depth_ = base;
         return lhs;
       }
     }
   }
 
   OclExpr parse_mul() {
+    const std::size_t base = depth_;
     OclExpr lhs = parse_prim();
     while (true) {
       if (eat("*")) {
+        descend();
         lhs = std::make_shared<BinaryNode>(OclBinOp::Mul, lhs, parse_prim());
       } else if (eat("/")) {
+        descend();
         lhs = std::make_shared<BinaryNode>(OclBinOp::Div, lhs, parse_prim());
       } else {
+        depth_ = base;
         return lhs;
       }
     }
@@ -339,7 +357,8 @@ class Parser {
 
   std::string in_;
   std::size_t pos_ = 0;
-  std::size_t depth_ = 0;  ///< enclosing parentheses and `not`s
+  /// Enclosing parentheses, `not`s and chained binary operators.
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -86,7 +86,10 @@ class OclNode {
   virtual void accept(OclVisitor& visitor) const = 0;
 };
 
-/// Deepest nesting of parentheses and `not` that parse_ocl accepts.
+/// Deepest nesting that parse_ocl accepts.  Parentheses, `not` and each
+/// binary operator of a left-deep chain (`a + b + c`, `p and q and r`)
+/// share this one budget, so every parsed tree stays shallow enough to
+/// evaluate, analyse and release by recursion.
 inline constexpr std::size_t kMaxOclDepth = 256;
 
 /// Parses one OCL boolean expression; throws ConfigError on bad syntax and

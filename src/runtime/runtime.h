@@ -6,10 +6,10 @@
 // CCMgr, persistence, the node kernel) are written against this seam only.
 // Two backends implement it:
 //
-//   * SimRuntime (src/runtime/sim_runtime.h) delegates 1:1 to the
-//     deterministic SimClock / EventQueue / SimNetwork, so a sim-backed
-//     run is byte-identical to the pre-seam code path — every chaos,
-//     gray and seed-pinned suite stays on it;
+//   * SimRuntime (src/runtime/sim_runtime.h) owns the deterministic
+//     SimClock / EventQueue / SimNetwork and delegates 1:1 to them, so a
+//     sim-backed run is byte-identical to the pre-seam code path — every
+//     chaos, gray and seed-pinned suite stays on it;
 //   * ThreadedRuntime (src/runtime/threaded_runtime.h) runs on real
 //     steady_clock time with one worker thread per node and lock-guarded
 //     mailboxes — the repo's first wall-clock execution surface.
@@ -111,11 +111,6 @@ class Runtime : public TimeSource {
   /// Nodes `from` can exchange messages with in both directions, itself
   /// included — the basis for view formation and primary election.
   [[nodiscard]] virtual std::vector<NodeId> membership_set(NodeId from) const = 0;
-
-  /// The pre-gray-failure membership basis: outbound reachability alone.
-  /// Kept only for the legacy_unidirectional_views regression pin.
-  [[nodiscard]] virtual std::vector<NodeId> legacy_membership_set(
-      NodeId from) const = 0;
 
   /// Draws the fate of one message on the directed link `from -> to`.
   virtual Delivery delivery_verdict(NodeId from, NodeId to) = 0;

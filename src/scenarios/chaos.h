@@ -42,8 +42,7 @@ struct ChaosOptions {
   ReplicationProtocol protocol = ReplicationProtocol::PrimaryPartition;
   /// Feature toggles forwarded to ClusterConfig verbatim.  Observability is
   /// forced on (the timeline is the determinism oracle) and the trace ring
-  /// gets headroom for timeline comparisons.  `legacy_unidirectional_views`
-  /// re-enables the split-brain regression pin.
+  /// gets headroom for timeline comparisons.
   FeatureFlags flags{.observability = true, .trace_capacity = 65536};
   /// Draw the fault plan from `random_gray_plan` instead of
   /// `random_fault_plan`: the op mix then includes asymmetric one-way

@@ -108,6 +108,15 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
                         "' needs " + std::to_string(n) + " argument(s)");
     }
   };
+  const auto node_arg = [&] {
+    need(1);
+    const std::size_t index = to_count(words[1], line);
+    if (index >= cluster_->size()) {
+      throw ConfigError("script line " + std::to_string(line) +
+                        ": no node " + words[1]);
+    }
+    return index;
+  };
 
   ScriptCommandResult result;
   result.line = line;
@@ -115,12 +124,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
   const SimTime start = cluster_->sim().clock.now();
 
   if (cmd == "node") {
-    need(1);
-    acting_ = to_count(words[1], line);
-    if (acting_ >= cluster_->size()) {
-      throw ConfigError("script line " + std::to_string(line) +
-                        ": no node " + words[1]);
-    }
+    acting_ = node_arg();
   } else if (cmd == "create") {
     need(2);
     const std::size_t n = to_count(words[2], line);
@@ -170,13 +174,9 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
   } else if (cmd == "heal") {
     cluster_->inject(fault::Heal{});
   } else if (cmd == "crash") {
-    need(1);
-    cluster_->sim().network.apply(
-        fault::Crash{cluster_->node(to_count(words[1], line)).id()});
+    cluster_->inject(fault::Crash{cluster_->node(node_arg()).id()});
   } else if (cmd == "recover") {
-    need(1);
-    cluster_->sim().network.apply(
-        fault::Restart{cluster_->node(to_count(words[1], line)).id()});
+    cluster_->inject(fault::Restart{cluster_->node(node_arg()).id()});
   } else if (cmd == "reconcile") {
     (void)cluster_->reconcile();
   } else if (cmd == "expect-threats") {
@@ -243,7 +243,7 @@ FailureSchedule& FailureSchedule::heal_at(SimTime when) {
 FailureSchedule& FailureSchedule::crash_at(SimTime when, std::size_t node) {
   Cluster* cluster = cluster_;
   cluster_->sim().events.schedule_at(when, [cluster, node] {
-    cluster->sim().network.apply(fault::Crash{cluster->node(node).id()});
+    cluster->inject(fault::Crash{cluster->node(node).id()});
   });
   return *this;
 }
@@ -251,7 +251,7 @@ FailureSchedule& FailureSchedule::crash_at(SimTime when, std::size_t node) {
 FailureSchedule& FailureSchedule::recover_at(SimTime when, std::size_t node) {
   Cluster* cluster = cluster_;
   cluster_->sim().events.schedule_at(when, [cluster, node] {
-    cluster->sim().network.apply(fault::Restart{cluster->node(node).id()});
+    cluster->inject(fault::Restart{cluster->node(node).id()});
   });
   return *this;
 }

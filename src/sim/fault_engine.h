@@ -2,11 +2,11 @@
 //
 // Drives a `FaultPlan` against a `SimNetwork`: as the simulated clock
 // advances, `poll()` applies every fault action whose scheduled time has
-// been reached, in plan order.  Crash and restart actions can be routed
-// through caller-supplied handlers (the cluster wires these so a restart
-// performs GMS rejoin plus durable-state recovery); all other actions go
-// straight to the network.  Each applied action is recorded as a
-// `fault.injected` trace event when an observability hub is attached.
+// been reached, in plan order.  Actions go to an optional sink — a cluster
+// installs `Cluster::inject`, so crashes, restarts, partitions and heals
+// take the middleware path — and straight to the network without one.
+// Each applied action is recorded as a `fault.injected` trace event when
+// an observability hub is attached.
 //
 // Determinism: the engine seeds the network's per-message fault generator
 // from the plan's seed on construction, and the plan itself is applied at
@@ -50,28 +50,10 @@ class FaultEngine {
   /// Wires the observability hub for fault.injected trace events.
   void set_observability(obs::Observability* obs) { obs_ = obs; }
 
-  /// Routes `fault::Crash` actions through `handler` instead of applying
-  /// them directly (the cluster drops the node's volatile state too).
-  void set_crash_handler(std::function<void(NodeId)> handler) {
-    crash_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Restart` actions through `handler` (the cluster
-  /// performs GMS rejoin and durable-state recovery).
-  void set_restart_handler(std::function<void(NodeId)> handler) {
-    restart_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Partition` actions through `handler` (the cluster
-  /// records the groups for reconciliation and traces the split).
-  void set_partition_handler(
-      std::function<void(const std::vector<std::vector<NodeId>>&)> handler) {
-    partition_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Heal` actions through `handler`.
-  void set_heal_handler(std::function<void()> handler) {
-    heal_handler_ = std::move(handler);
+  /// Routes every action through `sink` instead of applying it to the
+  /// network (Cluster::adopt_fault_engine installs Cluster::inject).
+  void set_sink(std::function<void(const fault::Op&)> sink) {
+    sink_ = std::move(sink);
   }
 
   /// Applies every action scheduled at or before the current virtual time;
@@ -109,11 +91,7 @@ class FaultEngine {
   std::size_t next_ = 0;
   Rng flap_rng_{0};
   obs::Observability* obs_ = nullptr;
-  std::function<void(NodeId)> crash_handler_;
-  std::function<void(NodeId)> restart_handler_;
-  std::function<void(const std::vector<std::vector<NodeId>>&)>
-      partition_handler_;
-  std::function<void()> heal_handler_;
+  std::function<void(const fault::Op&)> sink_;
   Stats stats_;
 };
 

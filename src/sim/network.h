@@ -11,10 +11,11 @@
 // never consulted and behaviour matches the fault-free network exactly.
 //
 // Fault operations are typed values (`fault::Partition`, `fault::Crash`,
-// `fault::Restart`, `fault::Heal`, `fault::SetLinkFaults[On]`) applied via
-// `apply()`, which returns the previous `Topology` so callers can restore
-// it.  The legacy `partition()/heal()/crash()/recover()` methods remain as
-// thin shims over `apply()`.
+// `fault::Restart`, `fault::Heal`, `fault::SetLinkFaults[On]` and the gray
+// ops) applied via `apply()`, which returns the previous `Topology` so
+// callers can restore it.  `apply()` changes the network alone; a cluster's
+// faults go through `Cluster::inject`, which adds the middleware side
+// (volatile-state drop, restart recovery, partition bookkeeping).
 #pragma once
 
 #include <algorithm>
@@ -353,19 +354,6 @@ class SimNetwork {
     if (!is_alive(from)) return out;
     for (NodeId n : nodes_) {
       if (reachable(from, n)) out.push_back(n);
-    }
-    return out;
-  }
-
-  /// All alive nodes with an open *direct* link from `from` (plus itself):
-  /// the naive "who can I send to" set the pre-gray GMS derived views
-  /// from.  Under a one-way cut it elects split-brain primaries — kept
-  /// only for the legacy_unidirectional_views regression pin.
-  [[nodiscard]] std::vector<NodeId> direct_reachable_set(NodeId from) const {
-    std::vector<NodeId> out;
-    if (!is_alive(from)) return out;
-    for (NodeId n : nodes_) {
-      if (n == from || link_open(from, n)) out.push_back(n);
     }
     return out;
   }

@@ -364,9 +364,8 @@ class ThreatStoreTest : public ::testing::Test {
     return t;
   }
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
   RecordStore db_;
   ThreatStore store_;
 };

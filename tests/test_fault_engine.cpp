@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/fault_engine.h"
@@ -154,22 +155,23 @@ TEST_F(FaultEngineTest, EngineAppliesActionsAtScheduledTimes) {
   EXPECT_EQ(engine.stats().restarts, 1u);
 }
 
-TEST_F(FaultEngineTest, CrashAndRestartRouteThroughHandlers) {
+TEST_F(FaultEngineTest, CrashAndRestartRouteThroughTheSink) {
   FaultPlan plan;
   plan.add(10, fault::Crash{NodeId{2}});
   plan.add(20, fault::Restart{NodeId{2}});
   FaultEngine engine(net_, plan);
-  std::vector<std::string> calls;
-  engine.set_crash_handler(
-      [&](NodeId n) { calls.push_back("crash " + to_string(n)); });
-  engine.set_restart_handler(
-      [&](NodeId n) { calls.push_back("restart " + to_string(n)); });
+  std::vector<fault::Op> calls;
+  engine.set_sink([&](const fault::Op& op) { calls.push_back(op); });
 
   engine.advance_to(30);
-  // The handlers were invoked instead of the direct network apply: the
-  // node never actually left the alive set.
+  // The sink was invoked instead of the direct network apply: the node
+  // never actually left the alive set, and the engine still counted both.
   EXPECT_TRUE(net_.is_alive(NodeId{2}));
-  EXPECT_EQ(calls, (std::vector<std::string>{"crash 2", "restart 2"}));
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(std::get<fault::Crash>(calls[0]).node, NodeId{2});
+  EXPECT_EQ(std::get<fault::Restart>(calls[1]).node, NodeId{2});
+  EXPECT_EQ(engine.stats().crashes, 1u);
+  EXPECT_EQ(engine.stats().restarts, 1u);
 }
 
 TEST_F(FaultEngineTest, RandomPlanIsDeterministicPerSeed) {

@@ -9,7 +9,7 @@ namespace {
 
 class GcsTest : public ::testing::Test {
  protected:
-  GcsTest() : net_(clock_, CostModel{}), weights_(std::make_shared<NodeWeights>()) {
+  GcsTest() : weights_(std::make_shared<NodeWeights>()) {
     for (std::uint64_t i = 0; i < 3; ++i) net_.add_node(NodeId{i});
     for (std::uint64_t i = 0; i < 3; ++i) {
       gms_.push_back(std::make_unique<GroupMembershipService>(rt_, NodeId{i},
@@ -17,9 +17,9 @@ class GcsTest : public ::testing::Test {
     }
   }
 
-  SimClock clock_;
-  SimNetwork net_;
-  SimRuntime rt_{clock_, net_};
+  SimRuntime rt_{CostModel{}};
+  SimClock& clock_ = rt_.clock();
+  SimNetwork& net_ = rt_.network();
   std::shared_ptr<NodeWeights> weights_;
   std::vector<std::unique_ptr<GroupMembershipService>> gms_;
 };
@@ -43,20 +43,14 @@ TEST_F(GcsTest, PartitionInstallsSmallerViews) {
 
 TEST_F(GcsTest, OneWayCutKeepsViewsBidirectional) {
   // Cut 1 -> 0 only.  All three nodes remain mutually reachable (node 1
-  // routes to 0 via 2), so every view must stay complete — the legacy
-  // outbound-only GMS dropped node 0 from node 1's view here and elected
+  // routes to 0 via 2), so every view must stay complete — an
+  // outbound-only GMS would drop node 0 from node 1's view here and elect
   // a second primary inside the strongly-connected component.
   net_.apply(fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
   for (const auto& gms : gms_) {
     EXPECT_TRUE(gms->current_view().complete);
     EXPECT_EQ(gms->current_view().members.size(), 3u);
   }
-
-  GroupMembershipService legacy(rt_, NodeId{1}, weights_,
-                                /*legacy_unidirectional_views=*/true);
-  EXPECT_FALSE(legacy.current_view().complete);
-  EXPECT_EQ(legacy.current_view().members.size(), 2u);
-  EXPECT_EQ(legacy.current_view().coordinator(), NodeId{1});  // split brain
 }
 
 TEST_F(GcsTest, WeightedNodesShiftPartitionWeight) {

@@ -11,9 +11,9 @@ class RecordStoreTest : public ::testing::Test {
  protected:
   RecordStoreTest() : store_(rt_) {}
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
+  SimClock& clock_ = rt_.clock();
   RecordStore store_;
 };
 
@@ -102,9 +102,9 @@ class HistoryStoreTest : public ::testing::Test {
     return s;
   }
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
+  SimClock& clock_ = rt_.clock();
   ReplicaHistoryStore store_;
 };
 

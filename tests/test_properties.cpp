@@ -247,9 +247,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AtsRandomWorkload,
 class ThreatStoreProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThreatStoreProperty, CountsConsistentUnderRandomOps) {
-  SimClock clock;
-  CostModel cost;
-  SimRuntime rt(clock, cost);
+  SimRuntime rt{CostModel{}};
   RecordStore db(rt);
   ThreatStore store(db);
   store.set_policy(GetParam() % 2 == 0 ? ThreatHistoryPolicy::IdenticalOnce

@@ -1,7 +1,8 @@
 // The pluggable execution runtime (docs/runtime.md): backend-equivalence
 // of a fault-free workload, the FeatureFlags fan-out through the cluster
 // layers, and the threaded backend's concurrency behavior (mailbox rounds,
-// nested serve, timers, kernel-lock smoke under concurrent clients).
+// nested serve, timers, kernel-lock smoke under concurrent clients and a
+// concurrent metrics export) and its refusal of fault injection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "middleware/admin.h"
 #include "middleware/cluster.h"
+#include "middleware/metrics.h"
 #include "objects/entity.h"
 #include "runtime/threaded_runtime.h"
 #include "scenarios/evalapp.h"
 #include "scenarios/flight.h"
+#include "util/errors.h"
 #include "util/rng.h"
 
 namespace dedisys {
@@ -281,6 +285,78 @@ TEST(ThreadedCluster, InvocationsRaceCreateAndDestroyOfOtherObjects) {
 
   EXPECT_GT(reads, 0);
   EXPECT_EQ(cluster.directory()->size(), 1u);
+}
+
+/// Fault injection and the sim substrate exist only on the sim backend.
+/// On a threaded cluster both refuse with a typed error before touching
+/// any state: the node keeps its replicas and its full view, and the
+/// metrics count no fault.
+TEST(ThreadedCluster, FaultInjectionAndSimSubstrateAreRefused) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.backend = RuntimeBackend::Threaded;
+  Cluster cluster(cfg);
+  FlightBooking::define_classes(cluster.classes());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 10);
+  ASSERT_TRUE(cluster.node(2).replication().has_local_replica(flight));
+
+  EXPECT_THROW(cluster.inject(fault::Crash{NodeId{2}}), ConfigError);
+  EXPECT_THROW((void)cluster.inject(fault::Restart{NodeId{2}}), ConfigError);
+  EXPECT_THROW(cluster.inject(fault::split_indices({{0, 1}, {2}})),
+               ConfigError);
+  EXPECT_THROW((void)cluster.sim(), ConfigError);
+
+  EXPECT_TRUE(cluster.node(2).replication().has_local_replica(flight));
+  EXPECT_EQ(cluster.node(2).mode(), SystemMode::Healthy);
+  const ClusterMetrics metrics = collect_metrics(cluster);
+  EXPECT_EQ(metrics.faults.crashes, 0u);
+  EXPECT_EQ(metrics.faults.restarts, 0u);
+  EXPECT_EQ(metrics.faults.messages_dropped, 0u);
+}
+
+/// The exporters read node, transaction and front-door state that
+/// threaded clients write under the kernel lock.  One client sells at
+/// node 1 while another thread renders the metrics document: the export
+/// must read inside the runtime section, or the two race (a data race
+/// under TSan, check.sh --threads).
+TEST(ThreadedCluster, MetricsExportRacesNoClient) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.backend = RuntimeBackend::Threaded;
+  Cluster cluster(cfg);
+  FlightBooking::define_classes(cluster.classes());
+  FlightBooking::register_constraints(cluster.constraints());
+  constexpr int kSells = 2000;
+  const ObjectId flight =
+      FlightBooking::create_flight(cluster.node(0), 2 * kSells);
+  AdminConsole admin(cluster);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::size_t exports = 0;
+  std::thread exporter([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_FALSE(admin.metrics_json().empty());
+      ++exports;
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  try {
+    for (int i = 0; i < kSells; ++i) {
+      FlightBooking::sell(cluster.node(1), flight, 1);
+    }
+  } catch (...) {
+    done.store(true, std::memory_order_release);
+    exporter.join();
+    throw;
+  }
+  done.store(true, std::memory_order_release);
+  exporter.join();
+
+  EXPECT_GT(exports, 0u);
+  EXPECT_EQ(FlightBooking::sold(cluster.node(0), flight), kSells);
 }
 
 }  // namespace

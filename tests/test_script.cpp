@@ -94,6 +94,30 @@ TEST_F(ScriptTest, AttributeAssertions) {
                DedisysError);
 }
 
+TEST_F(ScriptTest, CrashAndRecoverTakeTheMiddlewarePath) {
+  runner_.run(R"(
+    create TestEntity 3
+    crash 2
+    expect-mode degraded
+  )");
+  const std::vector<ObjectId> ids = cluster_.objects_of("TestEntity");
+  ASSERT_EQ(ids.size(), 3u);
+  // The pause-crash wiped node 2's volatile replicas ...
+  for (ObjectId id : ids) {
+    EXPECT_FALSE(cluster_.node(2).replication().has_local_replica(id));
+  }
+  runner_.run(R"(
+    recover 2
+    reconcile
+    expect-mode healthy
+    expect-threats 0
+  )");
+  // ... and the restart rebuilt them from its peers.
+  for (ObjectId id : ids) {
+    EXPECT_TRUE(cluster_.node(2).replication().has_local_replica(id));
+  }
+}
+
 TEST_F(ScriptTest, SyntaxErrorsAreReportedWithLineNumbers) {
   try {
     runner_.run("\n\nbogus command\n");
@@ -103,6 +127,8 @@ TEST_F(ScriptTest, SyntaxErrorsAreReportedWithLineNumbers) {
   }
   EXPECT_THROW(runner_.run("invoke setValue 5 x"), ConfigError);  // no create
   EXPECT_THROW(runner_.run("node 99"), ConfigError);
+  EXPECT_THROW(runner_.run("crash 3"), ConfigError);
+  EXPECT_THROW(runner_.run("recover 99"), ConfigError);
   EXPECT_THROW(runner_.run("create TestEntity notanumber"), ConfigError);
   EXPECT_THROW(runner_.run("negotiate maybe"), ConfigError);
 }

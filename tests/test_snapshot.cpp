@@ -17,9 +17,8 @@ class SnapshotTest : public ::testing::Test {
  protected:
   SnapshotTest() : store_(rt_), other_(rt_) {}
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
   RecordStore store_;
   RecordStore other_;
 };

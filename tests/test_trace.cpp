@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,10 @@
 #include "sim/fault_engine.h"
 #include "sim/fault_plan.h"
 #include "web/metrics_servlet.h"
+
+#ifndef TRACE_FIXTURE_DIR
+#define TRACE_FIXTURE_DIR "tests/fixtures"
+#endif
 
 namespace dedisys {
 namespace {
@@ -427,6 +433,28 @@ TEST(TraceChecker, SplitViewsInsideOnePartitionAreViolations) {
   agree.push_back(view(12, 2, "{2}"));
   agree.push_back(make_event(20, TraceEventKind::Validation));
   EXPECT_TRUE(obs::check_events(agree).ok());
+}
+
+TEST(TraceChecker, CommittedSplitBrainFixtureIsFlagged) {
+  // The view.change events of a real chaos run (the one-way cut 1>0 of
+  // tests/gray_corpus/asym_one_way_cut.plan, 20 ops, 200 ms horizon) whose
+  // GMS built views from outbound reachability alone: node 1 installed
+  // {1,2} while node 2 kept {0,1,2} — two primaries inside one
+  // strongly-connected component.  The checker must flag it from these
+  // events alone.
+  std::ifstream in(TRACE_FIXTURE_DIR "/split_brain_views.json");
+  ASSERT_TRUE(in) << "fixture missing at " << TRACE_FIXTURE_DIR;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::vector<TraceEvent> events =
+      obs::events_from_json(Json::parse(text.str()));
+  ASSERT_EQ(events.size(), 5u);
+  for (const TraceEvent& e : events) {
+    EXPECT_EQ(e.kind, TraceEventKind::ViewChange);
+  }
+  const obs::TraceCheckResult result = obs::check_events(events);
+  ASSERT_EQ(result.violations.size(), 1u);
+  EXPECT_EQ(result.violations.front().invariant, "one-primary-per-partition");
 }
 
 TEST(TraceChecker, DroppedEventsMarkVerdictIncomplete) {

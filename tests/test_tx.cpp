@@ -30,9 +30,9 @@ class TxTest : public ::testing::Test {
  protected:
   TxTest() : tm_(rt_) {}
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
+  SimClock& clock_ = rt_.clock();
   TransactionManager tm_;
 };
 

@@ -251,13 +251,30 @@ TEST_F(OclEval, NestingDepthIsBounded) {
   EXPECT_THROW((void)parse_ocl(nots(kMaxOclDepth + 1)), ConfigError);
   // Parentheses and negations share one budget.
   EXPECT_THROW((void)parse_ocl("not " + parens(kMaxOclDepth)), ConfigError);
+  // So does each binary operator of a flat, left-deep chain.
+  auto chain = [](const std::string& op, std::size_t operators) {
+    const std::string term =
+        op == "+" || op == "*" ? std::string("1") : std::string("true");
+    std::string text = term;
+    for (std::size_t i = 0; i < operators; ++i) text += " " + op + " " + term;
+    return text;
+  };
+  const std::vector<std::string> chain_ops{"+", "*", "and", "or", "implies"};
+  for (const std::string& op : chain_ops) {
+    EXPECT_TRUE(eval(chain(op, kMaxOclDepth))) << op;
+    EXPECT_THROW((void)parse_ocl(chain(op, kMaxOclDepth + 1)), ConfigError)
+        << op;
+  }
   // Depth bombs fail with the typed error naming the limit instead of
-  // exhausting the stack.
-  for (const std::string& bomb :
-       {std::string(200000, '('), nots(200000)}) {
+  // exhausting the stack (or overflowing it when the tree is released).
+  std::vector<std::string> bombs{std::string(200000, '('), nots(200000)};
+  for (const std::string& op : chain_ops) {
+    bombs.push_back(chain(op, 1000000 - 1));  // 1,000,000 terms
+  }
+  for (const std::string& bomb : bombs) {
     try {
       (void)parse_ocl(bomb);
-      ADD_FAILURE() << "a 200000-deep OCL expression parsed";
+      ADD_FAILURE() << "a depth bomb parsed: " << bomb.substr(0, 20);
     } catch (const ConfigError& e) {
       EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxOclDepth)),
                 std::string::npos)

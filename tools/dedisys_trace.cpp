@@ -19,8 +19,7 @@
 //   dedisys_trace --export FILE      run one seeded gray chaos soak and
 //                                    write its metrics export to FILE
 //                                    (input for the file-based modes)
-//   dedisys_trace --selftest         synthetic analyzer/checker pins plus
-//                                    the legacy split-brain end-to-end pin
+//   dedisys_trace --selftest         synthetic analyzer/checker pins
 //
 // Exit status: 0 clean, 1 violation/mismatch/diff, 2 usage or I/O error.
 #include <algorithm>
@@ -40,13 +39,10 @@
 
 namespace {
 
-using dedisys::FaultPlan;
 using dedisys::NodeId;
 using dedisys::ObjectId;
-using dedisys::RandomPlanOptions;
 using dedisys::SimTime;
 using dedisys::TxId;
-namespace fault = dedisys::fault;
 namespace obs = dedisys::obs;
 namespace scenarios = dedisys::scenarios;
 
@@ -472,7 +468,9 @@ int selftest_checker() {
   }
 
   // Split brain: nodes 0 and 1 mutually in view but with different member
-  // sets (the legacy one-way-cut signature).
+  // sets (the signature of views built from outbound reachability alone
+  // under a one-way cut; tests/fixtures/split_brain_views.json is a real
+  // run's).
   const auto view = [](SimTime at, std::uint64_t node, const char* members) {
     obs::TraceEvent e;
     e.at = at;
@@ -501,53 +499,6 @@ int selftest_checker() {
   return 0;
 }
 
-/// End-to-end pin: the legacy unidirectional-views split brain (a one-way
-/// cut 1>0) must be caught by the trace checker from the exported events
-/// alone, in agreement with the harness; the same plan with fixed views
-/// must pass both.
-int selftest_split_brain() {
-  scenarios::ChaosOptions chaos;
-  chaos.flags.legacy_unidirectional_views = true;
-
-  RandomPlanOptions plan_options;
-  for (std::size_t n = 0; n < chaos.nodes; ++n) {
-    plan_options.nodes.push_back(NodeId{n});
-  }
-  plan_options.horizon = chaos.horizon;
-  plan_options.events = 6;
-  FaultPlan plan = dedisys::random_gray_plan(4242, plan_options);
-  plan.add(dedisys::sim_us(10),
-           fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
-  plan.sort();
-  chaos.plan = plan;
-
-  const scenarios::ChaosResult result = scenarios::run_chaos(chaos);
-  if (result.primary_violations == 0) {
-    std::cerr << "selftest: legacy-views plan did not split brain\n";
-    return 1;
-  }
-  const LoadedTrace trace = load_trace(obs::Json::parse(result.metrics_json));
-  const obs::TraceCheckResult check =
-      obs::check_events(trace.events, trace.dropped);
-  const bool derived = std::any_of(
-      check.violations.begin(), check.violations.end(),
-      [](const obs::TraceCheckFinding& f) {
-        return f.invariant == "one-primary-per-partition";
-      });
-  if (!derived) {
-    std::cerr << "selftest: trace checker missed the legacy split brain\n";
-    return 1;
-  }
-
-  chaos.flags.legacy_unidirectional_views = false;
-  if (!cross_check_one(chaos, "fixed-views plan")) {
-    std::cerr << "selftest: fixed-views disagreement\n";
-    return 1;
-  }
-  std::cerr << "selftest: split-brain pin ok\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -560,9 +511,7 @@ int main(int argc, char** argv) {
   if (std::strcmp(mode, "--selftest") == 0) {
     const int analyzer = selftest_analyzer();
     if (analyzer != 0) return analyzer;
-    const int checker = selftest_checker();
-    if (checker != 0) return checker;
-    return selftest_split_brain();
+    return selftest_checker();
   }
   if (std::strcmp(mode, "--tree") == 0 && arg(2) != nullptr) {
     bool ok = true;
